@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import betti, ffmod, gkm, tableaux
 from .cyclic_core import Shape, is_compatible, validate_word
@@ -113,17 +112,18 @@ def _require_compatible(shape: Shape, word) -> None:
         )
 
 
-def _thread_count(jobs: int) -> int:
+def _check_threads_env() -> None:
+    # the oracle runs its primes one after another; QFV_THREADS is still
+    # validated so that scripts setting it keep their exit codes
     env = os.environ.get("QFV_THREADS")
     if env is None:
-        return max(1, jobs)
+        return
     try:
         cap = int(env)
     except ValueError as exc:
         raise CliError(EXIT_MALFORMED, "QFV_THREADS must be an integer") from exc
     if cap < 1:
         raise CliError(EXIT_MALFORMED, "QFV_THREADS must be at least 1")
-    return min(max(1, jobs), cap)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -234,13 +234,8 @@ def cmd_oracle(args) -> int:
         (t.filling, t.cell_dim())
         for t in tableaux.enumerate_tableaux(shape, word)
     ]
-    with ThreadPoolExecutor(max_workers=_thread_count(len(primes))) as pool:
-        reports = list(
-            pool.map(
-                lambda p: _oracle_one(shape, word, p, poly, expected_cells),
-                primes,
-            )
-        )
+    _check_threads_env()
+    reports = [_oracle_one(shape, word, p, poly, expected_cells) for p in primes]
     if args.format == "json":
         _emit(json.dumps(reports, indent=2) + "\n", args.out)
     else:

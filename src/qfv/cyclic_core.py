@@ -117,13 +117,17 @@ class Shape:
 
     @classmethod
     def from_json(cls, data: dict, keep_order: bool = False) -> "Shape":
+        """Inverse of `to_json`.  `n`, `socle` and `len` must be integers
+        (not booleans, floats or strings), the rule `validate_word` applies
+        to letters."""
         try:
-            n = data["n"]
-            rows = [Row(int(r["socle"]), int(r["len"])) for r in data["rows"]]
+            n = _json_int(data["n"], "cycle length")
+            rows = [
+                Row(_json_int(r["socle"], "socle"), _json_int(r["len"], "row length"))
+                for r in data["rows"]
+            ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed shape object: {exc}") from exc
-        if not isinstance(n, int):
-            raise ValueError(f"cycle length must be an integer, got {n!r}")
         return cls(n, rows, keep_order=keep_order)
 
     def __eq__(self, other) -> bool:
@@ -139,6 +143,12 @@ class Shape:
     def __repr__(self) -> str:
         inner = ", ".join(f"({r.socle},{r.length})" for r in self.rows)
         return f"Shape(n={self.n}, rows=[{inner}])"
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def validate_word(word: Sequence[int], n: int) -> tuple[int, ...]:

@@ -4,9 +4,11 @@ This is the brute-force side of the project: build the standard module
 of a shape with one basis vector per box, enumerate complete flags of
 submodules line by line (each step picks a line inside the socle at the
 step's vertex and passes to the quotient), count them, and classify each
-flag into a cell by reading off pivot coordinates.  None of it consults
-the counting recursions, which is the point: the two routes must be
-comparable, not entangled.
+flag into a cell by reading off pivot coordinates.  `count_flags`
+memoizes its count on the isomorphism class of each quotient, found by
+rank arithmetic (`iso_class`); `classify_flags` visits every flag.  None
+of it consults the counting recursions, which is the point: the two
+routes must be comparable, not entangled.
 """
 from __future__ import annotations
 
@@ -66,6 +68,15 @@ class NilModule:
         )
         self.shape = shape
         self._check_nilpotent()
+
+    @classmethod
+    def _from_trusted(cls, n, p, dims, mats, tags, shape) -> "NilModule":
+        """A module from already checked data: tuples of the right sizes,
+        entries reduced mod p, nilpotent.  `quotient` builds through here,
+        since a quotient of a nilpotent module is nilpotent."""
+        m = cls.__new__(cls)
+        m.n, m.p, m.dims, m.mats, m.tags, m.shape = n, p, dims, mats, tags, shape
+        return m
 
     def _check_nilpotent(self):
         total = sum(self.dims)
@@ -222,12 +233,16 @@ def quotient(m: NilModule, u: GradedSubspace):
             img = [row[j] for row in m.mats[v]]
             cols.append(proj.push_vec(w, img))
         new_mats.append(
-            [[col[r] for col in cols] for r in range(new_dims[w])]
+            tuple(tuple(col[r] for col in cols) for r in range(new_dims[w]))
         )
     new_tags = None
     if m.tags is not None:
-        new_tags = [[m.tags[v][j] for j in keep[v]] for v in range(m.n)]
-    qm = NilModule(m.n, p, new_dims, new_mats, tags=new_tags, shape=m.shape)
+        new_tags = tuple(
+            tuple(m.tags[v][j] for j in keep[v]) for v in range(m.n)
+        )
+    qm = NilModule._from_trusted(
+        m.n, p, new_dims, tuple(new_mats), new_tags, m.shape
+    )
     return qm, proj
 
 
@@ -255,25 +270,34 @@ def _line_subspace(m: NilModule, v: int, vec: Sequence[int]) -> GradedSubspace:
 
 
 def count_flags(m: NilModule, f: Sequence[int], p: int | None = None) -> int:
-    """Number of complete flags of submodules along the word, by direct
-    enumeration: lines in the socle at the step's vertex, then recurse
-    on the quotient."""
+    """Number of complete flags of submodules along the word: lines in
+    the socle at the step's vertex, then recurse on the quotient.
+
+    The number of flags below a step depends only on the isomorphism
+    class of the quotient and the rest of the word, so the recursion is
+    memoized on (`iso_class(quotient).rows`, rest of word) in a dict that
+    lives for this call only.  `iso_class` works by rank arithmetic and
+    never consults the counting recursions.  `classify_flags` is the
+    unmemoized enumeration of every flag, and its counts sum to this one.
+    """
     if p is not None and p != m.p:
         raise ValueError(f"module lives over F_{m.p}, not F_{p}")
     word = validate_word(f, m.n)
-    return _count_rec(m, word)
+    return _count_rec(m, word, {})
 
 
-def _count_rec(m: NilModule, word: tuple[int, ...]) -> int:
+def _count_rec(m: NilModule, word: tuple[int, ...], memo: dict) -> int:
     if not word:
         return 1 if m.total_dim == 0 else 0
-    v = word[0] - 1
-    basis, _ = kernel_mod(m.mats[v], m.dims[v], m.p)
-    total = 0
-    for vec in _line_reps(basis, m.p):
-        qm, _ = quotient(m, _line_subspace(m, v, vec))
-        total += _count_rec(qm, word[1:])
-    return total
+    key = (iso_class(m).rows, word)
+    if key not in memo:
+        v = word[0] - 1
+        basis, _ = kernel_mod(m.mats[v], m.dims[v], m.p)
+        memo[key] = sum(
+            _count_rec(quotient(m, _line_subspace(m, v, vec))[0], word[1:], memo)
+            for vec in _line_reps(basis, m.p)
+        )
+    return memo[key]
 
 
 def _line_with_pivot(
@@ -524,35 +548,32 @@ def iso_class(m: NilModule) -> Shape:
     all intersections computed by rank arithmetic.
     """
     p = m.p
-    soc = socle(m)
-    total = m.total_dim
-    # radical powers: rad^l at vertex w is the image of the composite of
-    # the l arrows arriving there
-    rad_basis: list[list[list[list[int]]]] = []  # rad_basis[l][w] = rref rows
-    current = [
-        [[1 if i == j else 0 for j in range(m.dims[w])] for i in range(m.dims[w])]
-        for w in range(m.n)
+    soc = socle(m).basis
+
+    def meet_dim(w: int, rad_b) -> int:
+        if not rad_b or not soc[w]:
+            return 0
+        join = len(rref_mod(list(soc[w]) + rad_b, p)[0])
+        return len(soc[w]) + len(rad_b) - join
+
+    # rad[w]: echelon basis of the l-th radical power at vertex w, the
+    # image of the composite of the l arrows arriving there; rad^0 is
+    # everything, so its meet with the socle is the socle
+    rad = [
+        [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+        for d in m.dims
     ]
-    rad_basis.append([rref_mod(b, p)[0] for b in current])
-    for _ in range(total):
-        nxt: list[list[list[int]]] = []
-        for w in range(m.n):
-            v = (w - 1) % m.n
-            vecs = [matvec_mod(m.mats[v], bvec, p) for bvec in current[v]]
-            nxt.append(rref_mod(vecs, p)[0] if vecs else [])
-        current = nxt
-        rad_basis.append(current)
-
-    def meet_dim(w: int, l: int) -> int:
-        soc_b = soc.basis[w]
-        rad_b = rad_basis[l][w] if l < len(rad_basis) else []
-        joint = list(soc_b) + list(rad_b)
-        join = len(rref_mod(joint, p)[0]) if joint else 0
-        return len(soc_b) + len(rad_b) - join
-
+    meet = [len(b) for b in soc]
     rows = []
-    for w in range(m.n):
-        for l in range(1, total + 1):
-            mult = meet_dim(w, l - 1) - meet_dim(w, l)
-            rows.extend([Row(w + 1, l)] * mult)
+    for l in range(1, m.total_dim + 1):
+        if not any(meet):
+            break  # meets only shrink as l grows
+        rad = [
+            rref_mod([matvec_mod(m.mats[w - 1], b, p) for b in rad[w - 1]], p)[0]
+            for w in range(m.n)
+        ]
+        nxt = [meet_dim(w, rad[w]) for w in range(m.n)]
+        for w in range(m.n):
+            rows.extend([Row(w + 1, l)] * (meet[w] - nxt[w]))
+        meet = nxt
     return Shape(m.n, rows)

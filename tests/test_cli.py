@@ -296,3 +296,21 @@ def test_invalid_thread_env_exits_one(shape_file, capsys, monkeypatch):
     rc = main(["oracle", "--shape", shape_file(P1), "--filtration", "1,1"])
     assert rc == 1
     assert "QFV_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": True, "rows": [{"socle": 1, "len": 1}]},
+        {"n": 1, "rows": [{"socle": 1, "len": 2.7}]},
+        {"n": 2, "rows": [{"socle": "2", "len": 1}]},
+    ],
+    ids=["bool_n", "float_len", "string_socle"],
+)
+def test_non_integer_shape_fields_exit_one(shape_file, capsys, data):
+    rc = main(["betti", "--shape", shape_file(data), "--filtration", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: bad shape:")
+    assert "must be an integer" in err
+    assert "Traceback" not in err

@@ -3,11 +3,14 @@ quotients, brute-force flag enumeration, and cell classification.
 
 The flag counts pinned here come from direct enumeration only; they are
 deliberately NOT taken from the counting recursions, so the two routes
-stay independent checks of one another.
+stay independent checks of one another.  The memoized `count_flags` is
+checked against the unmemoized `classify_flags` on the small grid.
 """
+from itertools import permutations
+
 import pytest
 
-from conftest import REFERENCE_FILLING, REFERENCE_ROWS, REFERENCE_WORD
+from conftest import REFERENCE_FILLING, REFERENCE_ROWS, REFERENCE_WORD, all_shapes
 from qfv import (
     Box,
     GradedSubspace,
@@ -25,6 +28,9 @@ from qfv import (
     socle,
     split_flag,
 )
+from qfv.betti import f_graded
+from qfv.ffmod import _line_reps, _line_subspace
+from qfv.linalg import kernel_mod
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
 
 
@@ -183,6 +189,51 @@ def test_classify_flags_partitions_the_count():
 def test_classify_flags_two_points_matches_cell_sizes():
     m = build_module(p1_shape(), 2)
     assert classify_flags(m, (1, 1)) == {((2,), (1,)): 2, ((1,), (2,)): 1}
+
+
+def small_grid():
+    """(shape, word) for every shape with <= 4 boxes and <= 4 rows, n <= 3,
+    and every word with the shape's letter counts, flags or not."""
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 4, 4):
+            letters = [
+                v for v, d in enumerate(shape.dim_vector(), start=1) for _ in range(d)
+            ]
+            for word in sorted(set(permutations(letters))):
+                yield shape, word
+
+
+def test_quotients_pass_the_public_constructor():
+    # quotient skips the nilpotency check (a quotient of a nilpotent module
+    # is nilpotent); every quotient the enumeration reaches must pass it
+    def walk(m, word):
+        if not word:
+            return 0
+        v = word[0] - 1
+        basis, _ = kernel_mod(m.mats[v], m.dims[v], m.p)
+        reached = 0
+        for vec in _line_reps(basis, m.p):
+            qm, _ = quotient(m, _line_subspace(m, v, vec))
+            again = NilModule(qm.n, qm.p, qm.dims, qm.mats, qm.tags, qm.shape)
+            assert (again.dims, again.mats, again.tags) == (qm.dims, qm.mats, qm.tags)
+            reached += 1 + walk(qm, word[1:])
+        return reached
+
+    assert sum(walk(build_module(s, 2), w) for s, w in small_grid()) > 10_000
+
+
+def test_memoized_count_matches_brute_force_classification():
+    # count_flags memoizes on iso_class; classify_flags visits every flag
+    for shape, word in small_grid():
+        m = build_module(shape, 2)
+        assert count_flags(m, word) == sum(classify_flags(m, word).values())
+
+
+def test_memoized_count_on_reference_instance(reference_shape):
+    poly = f_graded(reference_shape, REFERENCE_WORD, statistic="geometric")
+    for p, flags in ((2, 202_419), (3, 5_883_904)):
+        got = count_flags(build_module(reference_shape, p), REFERENCE_WORD)
+        assert got == flags == poly.evaluate(p)
 
 
 def shape_221():

@@ -9,7 +9,6 @@ filtration words of a fixed dimension vector.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .cyclic_core import (
@@ -163,17 +162,9 @@ def remove_box(shape: Shape, b: Box) -> Shape:
     """
     if not 1 <= b.row <= len(shape.rows):
         raise ValueError(f"row index {b.row} out of range")
-    row = shape.rows[b.row - 1]
-    if b.pos != row.length:
+    if b.pos != shape.rows[b.row - 1].length:
         raise ValueError(f"box {b} is not the end box of its row")
-    rows = list(shape.rows)
-    if row.length == 1:
-        del rows[b.row - 1]
-    else:
-        rows[b.row - 1] = Row(
-            normalize_vertex(row.socle - 1, shape.n), row.length - 1
-        )
-    return Shape(shape.n, rows, keep_order=True)
+    return Shape(shape.n, _shrink(shape.rows, b.row - 1, shape.n), keep_order=True)
 
 
 def _shrink(rows: tuple[Row, ...], idx: int, n: int) -> tuple[Row, ...]:
@@ -184,7 +175,7 @@ def _shrink(rows: tuple[Row, ...], idx: int, n: int) -> tuple[Row, ...]:
     return rows[:idx] + (shorter,) + rows[idx + 1 :]
 
 
-# Both recursions below are memoized on the ordered row tuple: the result
+# Every count here is memoized on the ordered row tuple: the result
 # genuinely depends on the order of rows, not just their multiset, e.g.
 # for n=1 and word (1,1,1) the pinned statistic gives 1 + q + q^2 for the
 # rows ((1,2),(1,1)) but 1 + 2q for ((1,1),(1,2)), because its shift
@@ -193,30 +184,11 @@ def _shrink(rows: tuple[Row, ...], idx: int, n: int) -> tuple[Row, ...]:
 # both orders give 1 + 2q there.
 
 
-@lru_cache(maxsize=None)
-def _count(n: int, rows: tuple[Row, ...], word: tuple[int, ...]) -> int:
-    if not word:
-        return 1
-    i = word[0]
-    rest = word[1:]
-    return sum(
-        _count(n, _shrink(rows, idx, n), rest)
-        for idx, row in enumerate(rows)
-        if row.socle == i
-    )
-
-
-@lru_cache(maxsize=None)
-def _graded(
-    n: int, rows: tuple[Row, ...], word: tuple[int, ...], geometric: bool
-) -> tuple[tuple[int, int], ...]:
-    if not word:
-        return ((0, 1),)
-    i = word[0]
-    rest = word[1:]
-    ends = [idx for idx, row in enumerate(rows) if row.socle == i]
+def _end_box_steps(rows: tuple[Row, ...], v: int, n: int, geometric: bool):
+    """The end-box rule at vertex v: for each row ending there, top to
+    bottom, its degree shift and the rows left without its end box."""
+    ends = [idx for idx, row in enumerate(rows) if row.socle == v]
     s = len(ends)
-    acc: dict[int, int] = {}
     for m, idx in enumerate(ends, start=1):
         if geometric:
             # the other candidates that are longer, or as long and lower
@@ -226,15 +198,55 @@ def _graded(
             # the m-th candidate from the top contributes with degree
             # shift s - m: lower candidates contribute in lower degrees
             shift = s - m
-        for k, c in _graded(n, _shrink(rows, idx, n), rest, geometric):
-            acc[k + shift] = acc.get(k + shift, 0) + c
-    return tuple(sorted(acc.items()))
+        yield shift, _shrink(rows, idx, n)
+
+
+def _fold(root, expand, memo: dict) -> tuple[tuple[int, int], ...]:
+    """Memoized post-order fold.  A state's value (sorted (degree, coefficient)
+    pairs) is 1 where `expand` gives None, else the sum of its next states'
+    values, each shifted by its step's degree.  Open states are generators on
+    an explicit stack, so long rows never reach the recursion limit."""
+
+    def visit(state):
+        steps = expand(state)
+        acc = {0: 1} if steps is None else {}
+        for d, nxt in steps or ():
+            value = memo.get(nxt)
+            if value is None:
+                value = yield nxt
+            for k, c in value:
+                acc[k + d] = acc.get(k + d, 0) + c
+        value = memo[state] = tuple(sorted(acc.items()))
+        return value
+
+    value = memo.get(root)
+    stack = [] if value is not None else [visit(root)]
+    while stack:
+        try:
+            stack.append(visit(stack[-1].send(value)))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
+# States (n, rows, rest of word, geometric) of `f_graded`, kept across
+# calls: instances that share a suffix of their word share its states.
+_GRADED_MEMO: dict = {}
+
+
+def _graded_steps(state):
+    n, rows, word, geometric = state
+    if not word:
+        return None
+    steps = _end_box_steps(rows, word[0], n, geometric)
+    return [(shift, (n, left, word[1:], geometric)) for shift, left in steps]
 
 
 def f_count(shape: Shape, f: Sequence[int]) -> int:
-    """Number of cells by the end-box recursion (no enumeration)."""
-    word = validate_word(f, shape.n)
-    return _count(shape.n, shape.rows, word)
+    """Number of cells by the end-box recursion: the graded count at q = 1."""
+    return f_graded(shape, f).total()
 
 
 def f_graded(
@@ -253,7 +265,8 @@ def f_graded(
     """
     word = validate_word(f, shape.n)
     geometric = validate_statistic(statistic) == "geometric"
-    return PoincarePoly(dict(_graded(shape.n, shape.rows, word, geometric)))
+    state = (shape.n, shape.rows, word, geometric)
+    return PoincarePoly(dict(_fold(state, _graded_steps, _GRADED_MEMO)))
 
 
 def bundle_dim(f: Sequence[int], n: int) -> int:
@@ -264,14 +277,13 @@ def bundle_dim(f: Sequence[int], n: int) -> int:
     previous stage at the next vertex, contributing that stage's
     dimension there.
     """
-    word = validate_word(f, n)
-    counts = [0] * n
-    fiber = 0
-    for v in word:
-        fiber += counts[v % n]  # vertex v+1, 0-based index
-        counts[v - 1] += 1
-    flag = sum(d * (d - 1) // 2 for d in counts)
-    return flag + fiber
+    used = [0] * n
+    e = 0
+    for v in validate_word(f, n):
+        # fiber at vertex v+1 (0-based v % n); earlier v's add up to d(d-1)/2
+        e += used[v % n] + used[v - 1]
+        used[v - 1] += 1
+    return e
 
 
 def orbit_dim(shape: Shape) -> int:
@@ -291,24 +303,20 @@ def multiset_words(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
     Deterministic lexicographic order, smallest vertex first.
     """
-    n = len(dims)
-    remaining = list(dims)
-    total = sum(dims)
-    word: list[int] = []
-
-    def rec():
-        if len(word) == total:
-            yield tuple(word)
+    word = [v for v, d in enumerate(dims, start=1) for _ in range(d)]
+    while True:
+        yield tuple(word)
+        # step to the next permutation in place
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for v in range(1, n + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                word.append(v)
-                yield from rec()
-                word.pop()
-                remaining[v - 1] += 1
-
-    return rec()
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
 
 
 class KatoGdim:
@@ -351,11 +359,23 @@ def kato_gdim(shape: Shape) -> KatoGdim:
     """Sum the graded counts over every filtration word of the shape.
 
     A word with bundle dimension e turns its degree-j graded count into
-    a contribution at t-exponent e - j.
+    a contribution at t-exponent e - j.  Both split over the steps: with
+    `used` counting the letters placed so far, a step at vertex v adds
+    used[v+1] + used[v] to e (the `bundle_dim` increment) and its pinned
+    shift to j, so one fold over (rows, used) covers every word.
     """
-    coeffs: dict[int, int] = {}
-    for word in multiset_words(shape.dim_vector()):
-        e = bundle_dim(word, shape.n)
-        for j, c in _graded(shape.n, shape.rows, word, False):
-            coeffs[e - j] = coeffs.get(e - j, 0) + c
-    return KatoGdim(coeffs, orbit_dim(shape))
+    n = shape.n
+
+    def steps(state):
+        rows, used = state
+        if not rows:
+            return None
+        out = []
+        for v in {row.socle for row in rows}:
+            e = used[v % n] + used[v - 1]
+            after = used[: v - 1] + (used[v - 1] + 1,) + used[v:]
+            for shift, left in _end_box_steps(rows, v, n, False):
+                out.append((e - shift, (left, after)))
+        return out
+
+    return KatoGdim(dict(_fold((shape.rows, (0,) * n), steps, {})), orbit_dim(shape))

@@ -305,8 +305,8 @@ def cmd_kato(args) -> int:
     if shape.size > KATO_BOX_LIMIT and not args.force:
         raise CliError(
             EXIT_GUARD,
-            f"{shape.size} boxes means iterating all distinct filtration "
-            f"words; limit is {KATO_BOX_LIMIT}, rerun with --force",
+            f"{shape.size} boxes exceeds the limit of {KATO_BOX_LIMIT} for the "
+            f"graded sum and the orbit dimension; rerun with --force",
         )
     result = betti.kato_gdim(shape)
     if args.format == "json":

@@ -112,10 +112,9 @@ class NilModule:
         return sum(self.dims)
 
 
-def build_module(shape: Shape, p: int) -> NilModule:
-    """Standard module of a shape: boxes in row-major order, each box's
-    basis vector mapping to its right neighbor, end boxes to zero."""
-    _check_prime(p)
+def _standard_module(shape: Shape):
+    """Dims, 0/1 arrow matrices and box tags of the standard module: boxes
+    in row-major order, each box's vector mapping to its right neighbor."""
     n = shape.n
     tags: list[list[Box]] = [[] for _ in range(n)]
     coord: dict[Box, tuple[int, int]] = {}
@@ -133,7 +132,13 @@ def build_module(shape: Shape, p: int) -> NilModule:
             w, b = coord[Box(i, pos + 1)]
             assert w == (v + 1) % n
             mats[v][b][a] = 1
-    return NilModule(n, p, dims, mats, tags=tags, shape=shape)
+    return dims, mats, tags
+
+
+def build_module(shape: Shape, p: int) -> NilModule:
+    """Standard module of a shape over F_p; the constructor checks p."""
+    dims, mats, tags = _standard_module(shape)
+    return NilModule(shape.n, p, dims, mats, tags=tags, shape=shape)
 
 
 class GradedSubspace:
@@ -164,12 +169,6 @@ class GradedSubspace:
     @property
     def dim(self) -> int:
         return sum(len(b) for b in self.basis)
-
-    def contains(self, v: int, vec: Sequence[int]) -> bool:
-        """Membership at 0-based vertex v."""
-        return not any(
-            reduce_vector_mod(vec, self.basis[v], self.pivots[v], self.p)
-        )
 
 
 def socle(m: NilModule) -> GradedSubspace:
@@ -483,26 +482,6 @@ def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
     return RowMultiTableau(m.shape, filling)
 
 
-def _standard_int_matrices(shape: Shape):
-    n = shape.n
-    tags: list[list[Box]] = [[] for _ in range(n)]
-    coord: dict[Box, tuple[int, int]] = {}
-    for box in shape.boxes():
-        v = shape.label(box) - 1
-        coord[box] = (v, len(tags[v]))
-        tags[v].append(box)
-    dims = tuple(len(t) for t in tags)
-    mats = [
-        [[0] * dims[v] for _ in range(dims[(v + 1) % n])] for v in range(n)
-    ]
-    for i, row in enumerate(shape.rows, start=1):
-        for pos in range(1, row.length):
-            v, a = coord[Box(i, pos)]
-            _, b = coord[Box(i, pos + 1)]
-            mats[v][b][a] = 1
-    return dims, mats
-
-
 def dim_end(shape: Shape) -> int:
     """Dimension of the endomorphism algebra of the standard module.
 
@@ -511,7 +490,7 @@ def dim_end(shape: Shape) -> int:
     rationals; the arrow matrices are 0/1, so the answer is
     characteristic-free.
     """
-    dims, mats = _standard_int_matrices(shape)
+    dims, mats, _ = _standard_module(shape)
     n = shape.n
     nvars = sum(d * d for d in dims)
     offsets = []

@@ -249,3 +249,16 @@ def test_kato_gdim_serialization_and_total():
     assert k.to_json() == {"coeffs": {"2": 1}, "orbit_dim": 2}
     assert k.total() == 1
     assert isinstance(k, KatoGdim)
+
+
+def test_kato_gdim_matches_enumerated_cell_dimensions(grid_stats):
+    # independent of the fold: cell dimensions from tableau enumeration,
+    # one bundle dimension per word, summed as t^(bundle_dim(word) - d)
+    for shape, stats in grid_stats:
+        expected = Counter()
+        for word, hist in stats.items():
+            e = bundle_dim(word, shape.n)
+            for d, c in hist.items():
+                expected[e - d] += c
+        assert kato_gdim(shape).coeffs == dict(expected), shape
+    assert len(grid_stats) == 765

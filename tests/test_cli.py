@@ -230,6 +230,16 @@ def test_kato_json_output(shape_file, capsys):
     }
 
 
+def test_betti_on_one_long_row_has_one_cell(shape_file, capsys):
+    # 1500 end-box steps: deeper than Python's default recursion limit
+    path = shape_file({"n": 1, "rows": [{"socle": 1, "len": 1500}]})
+    rc = main(["betti", "--shape", path, "--filtration", ",".join(["1"] * 1500)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "count: 1\npoincare: 1\n"
+    assert "Traceback" not in captured.err
+
+
 def test_kato_guard_and_force(shape_file, capsys):
     path = shape_file(BIG_ROW)
     rc = main(["kato", "--shape", path])

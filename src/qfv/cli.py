@@ -6,8 +6,9 @@ membership checking, and graded standard-module dimensions.  All output
 is exact; everything is deterministic for identical inputs.
 
 Exit codes: 0 success (and, for oracle runs, full agreement), 1
-malformed input, 2 structurally valid but incompatible inputs, 3
-resource guard tripped (override with --force), 4 oracle mismatch.
+malformed input or unwritable output, 2 structurally valid but
+incompatible inputs, 3 resource guard tripped (override with --force)
+or out of memory, 4 oracle mismatch.
 """
 from __future__ import annotations
 
@@ -128,8 +129,11 @@ def _check_threads_env() -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_MALFORMED, f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_kato, filtration=False)
     p_kato.add_argument(
-        "--force", action="store_true", help="ignore the word-count guard"
+        "--force", action="store_true", help="ignore the box-count guard"
     )
     p_kato.set_defaults(func=cmd_kato)
 
@@ -389,6 +393,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
+    except MemoryError:
+        # a huge cycle length n allocates per-vertex tables of size n
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

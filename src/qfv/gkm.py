@@ -10,6 +10,7 @@ when every edge difference is divisible by that form.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import sympy
@@ -40,6 +41,29 @@ def _strictly_increasing(seq: Sequence[int]) -> bool:
     return all(a < b for a, b in zip(seq, seq[1:]))
 
 
+def _swaps(filling: tuple[tuple[int, ...], ...], labels: list[tuple[int, ...]]):
+    """Yield (swapped filling, (p, q), entries) for each aligned exchange.
+
+    The plain-tuple core of `admissible_swaps`, which states the rule;
+    `labels` holds each row's column labels.
+    """
+    for p, q in combinations(range(len(filling)), 2):
+        rp, rq = filling[p], filling[q]
+        for w in range(1, min(len(rp), len(rq)) + 1):
+            for i in range(len(rp) - w + 1):
+                for j in range(len(rq) - w + 1):
+                    if labels[p][i] != labels[q][j]:
+                        continue
+                    new_p = rp[:i] + rq[j : j + w] + rp[i + w :]
+                    new_q = rq[:j] + rp[i : i + w] + rq[j + w :]
+                    if _strictly_increasing(new_p) and _strictly_increasing(new_q):
+                        swapped = list(filling)
+                        swapped[p], swapped[q] = new_p, new_q
+                        # rows increase, so a window's last entry is its largest
+                        top = (rp[i + w - 1], rq[j + w - 1])
+                        yield tuple(swapped), (p + 1, q + 1), top
+
+
 def admissible_swaps(
     t: RowMultiTableau,
 ) -> list[tuple[RowMultiTableau, tuple[int, int], tuple[int, int]]]:
@@ -56,40 +80,11 @@ def admissible_swaps(
     Returned entry pair: the largest entry of each window, in row order.
     """
     shape = t.shape
-    rows = shape.rows
-    labels = [row.labels(shape.n) for row in rows]
-    out = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for pi in range(len(rows)):
-        for qi in range(pi + 1, len(rows)):
-            max_len = min(rows[pi].length, rows[qi].length)
-            for window in range(1, max_len + 1):
-                for i in range(rows[pi].length - window + 1):
-                    for j in range(rows[qi].length - window + 1):
-                        if labels[pi][i] != labels[qi][j]:
-                            continue
-                        new_p = list(t.filling[pi])
-                        new_q = list(t.filling[qi])
-                        seg_p = new_p[i : i + window]
-                        seg_q = new_q[j : j + window]
-                        new_p[i : i + window] = seg_q
-                        new_q[j : j + window] = seg_p
-                        if not (
-                            _strictly_increasing(new_p)
-                            and _strictly_increasing(new_q)
-                        ):
-                            continue
-                        filling = list(t.filling)
-                        filling[pi] = tuple(new_p)
-                        filling[qi] = tuple(new_q)
-                        swapped = RowMultiTableau(shape, filling)
-                        if swapped.filling in seen:
-                            continue
-                        seen.add(swapped.filling)
-                        out.append(
-                            (swapped, (pi + 1, qi + 1), (max(seg_p), max(seg_q)))
-                        )
-    return out
+    labels = [row.labels(shape.n) for row in shape.rows]
+    return [
+        (RowMultiTableau(shape, f), rows, entries)
+        for f, rows, entries in _swaps(t.filling, labels)
+    ]
 
 
 def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
@@ -97,18 +92,17 @@ def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
     word = validate_word(f, shape.n)
     nodes = enumerate_tableaux(shape, word)
     index = {node.filling: idx for idx, node in enumerate(nodes)}
+    labels = [row.labels(shape.n) for row in shape.rows]
     edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
     for a, node in enumerate(nodes):
-        for swapped, rows_pq, entries_km in admissible_swaps(node):
-            b = index.get(swapped.filling)
+        for filling, rows_pq, entries_km in _swaps(node.filling, labels):
+            b = index.get(filling)
             if b is None:
                 raise ValueError("swap produced a filling outside the enumeration")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(Edge(key[0], key[1], rows_pq, entries_km))
+            # a swap is its own inverse, so both ends find each pair; the
+            # end with the smaller index finds it first and keeps its data
+            if a < b:
+                edges.append(Edge(a, b, rows_pq, entries_km))
     return GkmGraph(len(shape.rows), nodes, edges)
 
 

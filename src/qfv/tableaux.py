@@ -202,7 +202,8 @@ def _placement_dfs(shape: Shape, force_word=None):
     unfilled box may receive the entry in its rightmost unfilled box.
     When force_word is given, only rows whose next box carries the
     required label are tried.  Rows are tried top to bottom, which makes
-    the output order lexicographic in placement choices.
+    the output order lexicographic in placement choices.  The search
+    keeps its own stack, so long rows do not hit the recursion limit.
     """
     rows = shape.rows
     labels = [row.labels(shape.n) for row in rows]
@@ -210,30 +211,34 @@ def _placement_dfs(shape: Shape, force_word=None):
     filled = [0] * len(rows)  # boxes already filled, counted from the right
     filling = [[0] * row.length for row in rows]
     word: list[int] = []
-
-    def rec(k: int):
-        if k > r:
+    chosen: list[int] = []  # the row that received each placed entry
+    i = 0  # next row to try for the entry of the current step
+    while True:
+        k = len(chosen)
+        if k == r:
             yield tuple(word), tuple(tuple(row) for row in filling)
-            return
-        entry = r + 1 - k
-        want = force_word[k - 1] if force_word is not None else None
-        for i, row in enumerate(rows):
-            if filled[i] == row.length:
-                continue
-            pos = row.length - filled[i]  # rightmost unfilled, 1-based
-            if want is not None and labels[i][pos - 1] != want:
-                continue
-            filling[i][pos - 1] = entry
+            i = len(rows)  # nothing left to place: backtrack
+        want = force_word[k] if force_word is not None and k < r else None
+        while i < len(rows):
+            pos = rows[i].length - filled[i]  # rightmost unfilled, 1-based
+            if pos and (want is None or labels[i][pos - 1] == want):
+                break
+            i += 1
+        if i < len(rows):
+            filling[i][pos - 1] = r - k
             filled[i] += 1
-            if force_word is None:
-                word.append(labels[i][pos - 1])
-            yield from rec(k + 1)
+            word.append(labels[i][pos - 1])
+            chosen.append(i)
+            i = 0
+        elif chosen:
+            # no row left for this step: take back the last entry and try
+            # the next row for it
+            i = chosen.pop()
             filled[i] -= 1
-            filling[i][pos - 1] = 0
-            if force_word is None:
-                word.pop()
-
-    yield from rec(1)
+            word.pop()
+            i += 1
+        else:
+            return
 
 
 def enumerate_tableaux(

@@ -240,6 +240,30 @@ def test_betti_on_one_long_row_has_one_cell(shape_file, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_tableaux_on_one_long_row_has_one_cell(shape_file, capsys):
+    # 1500 placement steps: deeper than Python's default recursion limit
+    path = shape_file({"n": 1, "rows": [{"socle": 1, "len": 1500}]})
+    word = ",".join(["1"] * 1500)
+    rc = main(["tableaux", "--shape", path, "--filtration", word])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("count: 1\n")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["betti", "--filtration", "1"], ["kato"]], ids=["betti", "kato"]
+)
+def test_huge_cycle_length_exits_three(shape_file, capsys, command):
+    # per-vertex tables of 10^15 entries exceed any address space, so the
+    # allocation fails at once instead of filling memory
+    path = shape_file({"n": 10**15, "rows": []})
+    rc = main([command[0], "--shape", path] + command[1:])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: out of memory\n"
+
+
 def test_kato_guard_and_force(shape_file, capsys):
     path = shape_file(BIG_ROW)
     rc = main(["kato", "--shape", path])
@@ -268,6 +292,27 @@ def test_out_writes_file(shape_file, tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert "poincare: 1 + q" in target.read_text()
+
+
+def test_unwritable_out_exits_one(shape_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "result.txt"
+    rc = main(
+        [
+            "tableaux",
+            "--shape",
+            shape_file(P1),
+            "--filtration",
+            "1,1",
+            "--out",
+            str(target),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_incompatible_filtration_exits_two(shape_file, capsys):

@@ -1,8 +1,11 @@
 """Fixed-point graph construction, segment-exchange edges, membership
 checking against edge linear forms, and DOT export."""
+from itertools import combinations
+
 import pytest
 import sympy
 
+from conftest import all_shapes
 from qfv import (
     Row,
     Shape,
@@ -11,6 +14,7 @@ from qfv import (
     export_dot,
     graph_to_json,
     membership_check,
+    multiset_words,
     torus_symbols,
 )
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
@@ -104,6 +108,49 @@ def test_unit_row_edge_count_matches_dimension_sum():
             continue
         g = build_gkm_graph(shape, word)
         assert len(g.edges) == sum(t.cell_dim() for t in ts)
+
+
+def _exchange(a, b, labels):
+    """(rows, entries) of the edge from filling a to filling b, or None.
+
+    Decided from the two fillings alone: they differ in exactly two rows,
+    in each row the differing positions form one window, the windows have
+    equal length and equal first labels, and their contents are exchanged.
+    """
+    rows = [p for p, (ra, rb) in enumerate(zip(a, b)) if ra != rb]
+    if len(rows) != 2:
+        return None
+    windows = []
+    for p in rows:
+        pos = [i for i, (x, y) in enumerate(zip(a[p], b[p])) if x != y]
+        if pos != list(range(pos[0], pos[-1] + 1)):
+            return None
+        windows.append(slice(pos[0], pos[-1] + 1))
+    (p, q), (sp, sq) = rows, windows
+    if sp.stop - sp.start != sq.stop - sq.start:
+        return None
+    if labels[p][sp.start] != labels[q][sq.start]:
+        return None
+    if b[p][sp] != a[q][sq] or b[q][sq] != a[p][sp]:
+        return None
+    return (p + 1, q + 1), (max(a[p][sp]), max(a[q][sq]))
+
+
+def test_edges_match_pairwise_exchange_check():
+    # slow independent route: every pair of nodes is compared directly,
+    # on every compatible word of the <=4-box grid
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 4, 4):
+            labels = [row.labels(n) for row in shape.rows]
+            for word in multiset_words(shape.dim_vector()):
+                g = build_gkm_graph(shape, word)
+                fillings = [t.filling for t in g.nodes]
+                expected = set()
+                for a, b in combinations(range(len(fillings)), 2):
+                    found = _exchange(fillings[a], fillings[b], labels)
+                    if found is not None:
+                        expected.add((a, b) + found)
+                assert set(map(tuple, g.edges)) == expected
 
 
 def test_membership_constant_tuple():

@@ -9,11 +9,13 @@ when every edge difference is divisible by that form.
 """
 from __future__ import annotations
 
+import ast
 import json
+import math
+from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import NamedTuple, Sequence
-
-import sympy
 
 from .cyclic_core import Shape, validate_word
 from .tableaux import RowMultiTableau, enumerate_tableaux
@@ -108,40 +110,192 @@ def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
 
 def torus_symbols(t: int):
     """x1..xt as sympy symbols."""
+    import sympy
+
     return sympy.symbols(f"x1:{t + 1}")
+
+
+# A polynomial in x1..xt is a dict {exponent tuple: nonzero coefficient};
+# coefficients are int or Fraction, so all arithmetic is exact and two
+# polynomials are equal exactly when their dicts are.
+
+
+def _literal(value) -> int | Fraction:
+    """An int as itself, a finite float as the fraction of its shortest
+    decimal form (0.1 is 1/10); anything else is not a coefficient."""
+    if type(value) is int:
+        return value
+    if type(value) is float and math.isfinite(value):
+        return Fraction(repr(value))
+    raise ValueError(f"literal {value!r} is not allowed")
+
+
+def _constant_value(poly: dict):
+    """The value of a constant polynomial, None for a non-constant one."""
+    if not poly:
+        return 0
+    if len(poly) == 1:
+        ((mono, c),) = poly.items()
+        if not any(mono):
+            return c
+    return None
+
+
+def _add(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for mono, c in b.items():
+        c = out.get(mono, 0) + sign * c
+        if c:
+            out[mono] = c
+        else:
+            del out[mono]
+    return out
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _binop(op: ast.operator, a: dict, b: dict, zero: tuple) -> dict:
+    if isinstance(op, ast.Add):
+        return _add(a, b, 1)
+    if isinstance(op, ast.Sub):
+        return _add(a, b, -1)
+    if isinstance(op, ast.Mult):
+        return _mul(a, b)
+    c = _constant_value(b)
+    if isinstance(op, ast.Div):
+        if c is None:
+            raise ValueError("division by a non-constant")
+        if c == 0:
+            raise ValueError("division by zero")
+        inv = 1 / Fraction(c)
+        return {mono: v * inv for mono, v in a.items()}
+    # ast.Pow: repeated squaring
+    if c is None or c < 0 or c != int(c):
+        raise ValueError("exponent is not a non-negative integer constant")
+    e, result = int(c), {zero: 1}
+    while e:
+        if e & 1:
+            result = _mul(result, a)
+        e >>= 1
+        if e:
+            a = _mul(a, a)
+    return result
+
+
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+class _StraySymbols(ValueError):
+    """A name other than x1..xt; reported without the parse-error prefix."""
+
+
+def _parse_poly(p, t: int) -> dict:
+    """Read `p` as a polynomial in x1..xt; nothing is evaluated.
+
+    An int or float is a constant; a string is parsed, with `^` meaning
+    `**` as in sympy; any other object is parsed from `str(p)`.  The tree
+    from `ast.parse` is folded bottom-up on an explicit stack, so long
+    sums do not recurse.  Raises ValueError for any other syntax.
+    """
+    if type(p) in (int, float):
+        tree = ast.Expression(ast.Constant(p))
+    else:
+        text = p if isinstance(p, str) else str(p)
+        try:
+            tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+        except (SyntaxError, ValueError, RecursionError) as exc:
+            raise ValueError(str(exc)) from None
+    var = {f"x{k}": k - 1 for k in range(1, t + 1)}
+    zero = (0,) * t
+    stack = [(tree.body, False)]
+    values: list[dict] = []
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, ast.Constant):
+            c = _literal(node.value)
+            values.append({zero: c} if c else {})
+        elif isinstance(node, ast.Name):
+            if node.id not in var:
+                stray = {m.id for m in ast.walk(tree) if isinstance(m, ast.Name)}
+                raise _StraySymbols(f"symbols outside x1..x{t}: {sorted(stray - set(var))}")
+            mono = [0] * t
+            mono[var[node.id]] = 1
+            values.append({tuple(mono): 1})
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            if not children_done:
+                stack += [(node, True), (node.operand, False)]
+            elif isinstance(node.op, ast.USub):
+                values.append({mono: -c for mono, c in values.pop().items()})
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            if not children_done:
+                stack += [(node, True), (node.right, False), (node.left, False)]
+            else:
+                b = values.pop()
+                values.append(_binop(node.op, values.pop(), b, zero))
+        else:
+            raise ValueError(f"{type(getattr(node, 'op', node)).__name__} is not allowed")
+    return values.pop()
+
+
+def _collapse(poly: dict, p: int, q: int) -> dict:
+    """`poly` with x_p replaced by x_q (0-based indices)."""
+    out: dict = {}
+    for mono, c in poly.items():
+        m = list(mono)
+        m[q] += m[p]
+        m[p] = 0
+        m = tuple(m)
+        out[m] = out.get(m, 0) + c
+    return {mono: c for mono, c in out.items() if c}
 
 
 def membership_check(g: GkmGraph, polys: Sequence) -> tuple[bool, list[Edge]]:
     """Divisibility of every edge difference by the edge's linear form.
 
-    Accepts sympy expressions, strings, or numbers, one per node in node
-    order.  For an edge on rows (p, q) the requirement is that the
+    Takes one polynomial per node, in node order: a string, an int, a
+    float, or any other object (a sympy expression, say) read through
+    `str`.  A string may use x1..xt, integer and decimal literals, `+`,
+    `-`, `*`, `/` by a nonzero constant and `**` (or `^`) by a
+    non-negative integer constant; anything else, other names included,
+    raises ValueError.  Strings are parsed, never evaluated, and the
+    arithmetic is exact over the rationals (a decimal such as 0.1 is
+    1/10).  For an edge on rows (p, q) the requirement is that the
     difference vanish under substituting x_p by x_q.  Returns the overall
-    verdict plus the failing edges.
+    verdict plus the failing edges, in edge order.
     """
     if len(polys) != len(g.nodes):
         raise ValueError(
             f"need {len(g.nodes)} polynomials, got {len(polys)}"
         )
-    xs = torus_symbols(g.t)
-    allowed = set(xs)
-    exprs = []
+    parsed = []
     for p in polys:
         try:
-            e = sympy.sympify(p)
-        except (sympy.SympifyError, TypeError) as exc:
-            raise ValueError(f"cannot parse polynomial {p!r}: {exc}") from exc
-        stray = e.free_symbols - allowed
-        if stray:
-            raise ValueError(f"symbols outside x1..x{g.t}: {sorted(map(str, stray))}")
-        exprs.append(e)
+            parsed.append(_parse_poly(p, g.t))
+        except _StraySymbols:
+            raise
+        except ValueError as exc:
+            raise ValueError(f"cannot parse polynomial {p!r}: {exc}") from None
+    collapsed: dict = {}
+
+    def side(node: int, p: int, q: int) -> dict:
+        key = (node, p, q)
+        if key not in collapsed:
+            collapsed[key] = _collapse(parsed[node], p, q)
+        return collapsed[key]
+
     failures = []
     for edge in g.edges:
-        diff = sympy.expand(exprs[edge.a] - exprs[edge.b])
-        if diff == 0:
+        if parsed[edge.a] == parsed[edge.b]:
             continue
-        pv, qv = edge.rows
-        if sympy.expand(diff.subs(xs[pv - 1], xs[qv - 1])) != 0:
+        p, q = edge.rows[0] - 1, edge.rows[1] - 1
+        if side(edge.a, p, q) != side(edge.b, p, q):
             failures.append(edge)
     return (not failures), failures
 

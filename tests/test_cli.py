@@ -176,6 +176,53 @@ def test_gkm_membership_check(shape_file, tmp_path, capsys):
     assert "failing edge 0-1 on rows (1,2)" in out
 
 
+MALFORMED_CHECKS = {
+    "bools": [True, False],
+    "nulls": [None, None],
+    "lists": [[1], [2]],
+    "comparison": ["x1 == x2", "x2"],
+    "bitwise_and": ["x1 & x2", "x2"],
+    "list_literal": ["[1]", "x2"],
+    "division_by_variable": ["x1/x2", "x2"],
+    "function_call": ["sin(x1)", "x2"],
+    "eval_payload": [r'__import__("sys").stdout.write("EVALUATED\n") and 0', "x2"],
+}
+
+
+@pytest.mark.parametrize(
+    "data", list(MALFORMED_CHECKS.values()), ids=list(MALFORMED_CHECKS)
+)
+def test_gkm_malformed_check_exits_one(shape_file, tmp_path, capsys, data):
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps(data))
+    rc = main(
+        ["gkm", "--shape", shape_file(P1), "--filtration", "1,1", "--check", str(check)]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad polynomial tuple:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("terms, rc", [(2000, 0), (3000, 1)])
+def test_gkm_check_on_long_sums(shape_file, tmp_path, capsys, terms, rc):
+    # 3000 terms are past what Python's parser can nest
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps([" + ".join(["3*x1"] * terms), f"{3 * terms}*x2"]))
+    argv = ["gkm", "--shape", shape_file(P1), "--filtration", "1,1", "--check", str(check)]
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    if rc == 0:
+        assert captured.out == "member: true\n"
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad polynomial tuple:")
+        assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_gkm_dot_output(shape_file, capsys):
     rc = main(
         [

@@ -1,9 +1,12 @@
 """Fixed-point graph construction, segment-exchange edges, membership
 checking against edge linear forms, and DOT export."""
+import random
 from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_shapes
 from qfv import (
@@ -178,6 +181,16 @@ def test_membership_accepts_strings():
     assert ok
 
 
+def test_membership_is_exact_on_decimals_and_fractions():
+    # 0.1 + 0.2 is 0.3 exactly, as decimals are read as fractions
+    g = p1_graph()
+    assert membership_check(g, ("0.1*x1 + 0.2*x1", "0.3*x2")) == (True, [])
+    assert membership_check(g, ("x1/3 + x1/3 + x1/3", "x2")) == (True, [])
+    assert membership_check(g, (0.5, "1/2")) == (True, [])
+    ok, _ = membership_check(g, ("0.1*x1 + 0.2*x1", "0.30000001*x2"))
+    assert not ok
+
+
 def test_membership_input_errors():
     g = p1_graph()
     with pytest.raises(ValueError):
@@ -217,3 +230,97 @@ def test_torus_symbols_are_sympy_variables():
     assert len(x) == 3
     assert all(isinstance(s, sympy.Symbol) for s in x)
     assert str(x[0]) == "x1"
+
+
+def _reference_failures(g, texts):
+    """Failing edges by sympy alone: expand((A - B) with x_p -> x_q) == 0.
+
+    The slow independent route for `membership_check`: sympy parses the
+    same strings (decimals read as exact rationals) and does the algebra.
+    """
+    x = sympy.symbols(f"x1:{g.t + 1}")
+    exprs = [sympy.sympify(s, rational=True) for s in texts]
+    return [
+        e
+        for e in g.edges
+        if sympy.expand((exprs[e.a] - exprs[e.b]).subs(x[e.rows[0] - 1], x[e.rows[1] - 1])) != 0
+    ]
+
+
+def _random_tuple(rng, g):
+    """One polynomial string per node: a member or a perturbed member.
+
+    Members are c*M^k + d with M = sum_r x_r * (entry sum of row r), which a
+    swap on rows (p, q) changes by a multiple of x_p - x_q.  The scalar is
+    written as a fraction (bare or in parentheses) or as a decimal, and the
+    power with `^` or `**`.  A perturbation subtracts a random monomial,
+    possibly divided by 3, from some nodes.
+    """
+    k = rng.randint(0, 3)
+    num, den = rng.randint(-4, 4), rng.choice((1, 2, 4, 5))
+    scalar = rng.choice((f"{num}/{den}", repr(num / den), f"({num}/{den})"))
+    power = rng.choice(("^", "**"))
+    d = rng.randint(-3, 3)
+    perturb = rng.random() < 0.5
+    texts = []
+    for node in g.nodes:
+        m = " + ".join(f"{sum(row)}*x{r}" for r, row in enumerate(node.filling, 1)) or "0"
+        text = f"{scalar}*({m}){power}{k} + {d}"
+        if perturb and rng.random() < 0.5:
+            r = rng.randint(1, g.t)
+            text += f" - {rng.randint(1, 3)}*x{r}{power}{rng.randint(1, 2)}/{rng.choice((1, 3))}"
+        texts.append(text)
+    return texts
+
+
+def test_membership_matches_sympy_reference_on_grid():
+    # slow independent route on the 392 instances of the <=4-box grid
+    rng = random.Random(20261018)
+    verdicts = set()
+    instances = 0
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 4, 4):
+            for word in multiset_words(shape.dim_vector()):
+                g = build_gkm_graph(shape, word)
+                if not g.nodes:
+                    continue
+                instances += 1
+                texts = _random_tuple(rng, g)
+                expected = _reference_failures(g, texts)
+                ok, failures = membership_check(g, texts)
+                assert (ok, failures) == (not expected, expected), texts
+                verdicts.add(ok)
+    assert instances == 392
+    assert verdicts == {True, False}
+
+
+_FUZZ_TOKENS = ["x1", "x2", "x3", *"0123456789", *"+-*/^().", " ", "y", "x0", "x4", "sin"]
+# Powers are exact, so a tower such as 9^9^9 would take hours: raw token
+# strings stay short and hold at most one power, and in operand/operator
+# strings (where operands and operators alternate, so more strings parse)
+# at most three operators keep powers such as (x1-x2)^2^2^2 small.
+_FUZZ_OPERANDS = st.sampled_from(
+    ["x1", "x2", "x3", "y", "x4", "0", "2", "0.5", "(x1-x2)", "sin(x1)", "(1", "x2)"]
+)
+_FUZZ_OPERATORS = st.sampled_from(["+", "-", "*", "/", "^", "**", " ", "."])
+_FUZZ_TEXT = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6)
+    .map("".join)
+    .filter(lambda s: s.replace("**", "^").count("^") < 2),
+    st.tuples(
+        _FUZZ_OPERANDS, st.lists(st.tuples(_FUZZ_OPERATORS, _FUZZ_OPERANDS), max_size=3)
+    ).map(lambda t: t[0] + "".join(op + arg for op, arg in t[1])),
+)
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(_FUZZ_TEXT)
+def test_membership_parser_fuzz(text):
+    # any string over the polynomial alphabet either gives a verdict or
+    # is rejected with ValueError; nothing else escapes
+    g = fl3_graph()
+    try:
+        ok, failures = membership_check(g, [text] + ["x1"] * 5)
+    except ValueError:
+        return
+    assert ok == (not failures)

@@ -50,7 +50,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_MALFORMED, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bad UTF-8 and integer literals
+        # past Python's int-string limit; RecursionError, deep nesting
         raise CliError(EXIT_MALFORMED, f"invalid JSON in {path}: {exc}") from exc
 
 

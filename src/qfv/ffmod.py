@@ -4,11 +4,12 @@ This is the brute-force side of the project: build the standard module
 of a shape with one basis vector per box, enumerate complete flags of
 submodules line by line (each step picks a line inside the socle at the
 step's vertex and passes to the quotient), count them, and classify each
-flag into a cell by reading off pivot coordinates.  `count_flags`
-memoizes its count on the isomorphism class of each quotient, found by
-rank arithmetic (`iso_class`); `classify_flags` visits every flag.  None
-of it consults the counting recursions, which is the point: the two
-routes must be comparable, not entangled.
+flag into a cell by reading off pivot coordinates.  Neither walks flag
+by flag: `count_flags` memoizes its count on the isomorphism class of
+each quotient, found by rank arithmetic (`iso_class`), and
+`classify_flags` memoizes its per-cell counts on each exact quotient.
+None of it consults the counting recursions, which is the point: the
+two routes must be comparable, not entangled.
 """
 from __future__ import annotations
 
@@ -276,8 +277,9 @@ def count_flags(m: NilModule, f: Sequence[int], p: int | None = None) -> int:
     class of the quotient and the rest of the word, so the recursion is
     memoized on (`iso_class(quotient).rows`, rest of word) in a dict that
     lives for this call only.  `iso_class` works by rank arithmetic and
-    never consults the counting recursions.  `classify_flags` is the
-    unmemoized enumeration of every flag, and its counts sum to this one.
+    never consults the counting recursions.  `classify_flags` reaches the
+    same flags through a memo on exact quotients instead, and never calls
+    `iso_class`; its counts sum to this one.
     """
     if p is not None and p != m.p:
         raise ValueError(f"module lives over F_{m.p}, not F_{p}")
@@ -346,8 +348,19 @@ def classify_flags(
       surviving coordinates, ties to the upper row.  Each class then holds
       p^d points, d the cell's dimension under the geometric statistic.
 
-    With `cell` (a filling) only the flags of that cell are enumerated, so
+    With `cell` (a filling) only the flags of that cell are counted, so
     the result has at most that one key.
+
+    The flags below a step are counted per partial filling, the (box,
+    entry) pairs the remaining steps assign, and memoized in a dict that
+    lives for this call only.  The key is the exact quotient (`dims`,
+    `mats`, `tags`) plus the rest of the word.  It is sound because both
+    pivot rules read nothing but `dims`, `mats` and `tags`, and a step's
+    entry is the length of the rest of the word; with `cell`, the wanted
+    box per entry is fixed for the call.  So a memo hit stands for every
+    flag below that quotient without visiting them.  Only linear algebra
+    mod p is used, never `count_flags`, `iso_class` or the counting
+    recursions.
 
     Keys are raw filling tuples aligned with the module's shape rows, on
     purpose: a class that fails the tableau invariants still gets
@@ -358,11 +371,6 @@ def classify_flags(
         raise ValueError("classification needs a module built from a shape")
     if pivot not in PIVOTS:
         raise ValueError(f"pivot must be one of {PIVOTS}, got {pivot!r}")
-    shortest = pivot == "shortest"
-    r = len(word)
-    entry_at: dict[Box, int] = {}
-    counts: dict[tuple[tuple[int, ...], ...], int] = {}
-    shape = m.shape
     want: dict[int, Box] | None = None
     if cell is not None:
         want = {
@@ -370,38 +378,48 @@ def classify_flags(
             for i, entries in enumerate(cell, start=1)
             for pos, e in enumerate(entries, start=1)
         }
-
-    def assemble() -> tuple[tuple[int, ...], ...]:
-        return tuple(
+    partials = _classify_rec(m, word, pivot == "shortest", want, {})
+    counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    for partial, count in partials.items():
+        entry_at = dict(partial)
+        filling = tuple(
             tuple(entry_at[Box(i, pos)] for pos in range(1, row.length + 1))
-            for i, row in enumerate(shape.rows, start=1)
+            for i, row in enumerate(m.shape.rows, start=1)
         )
-
-    def rec(cur: NilModule, rest: tuple[int, ...], k: int):
-        if not rest:
-            if cur.total_dim == 0:
-                filling = assemble()
-                counts[filling] = counts.get(filling, 0) + 1
-            return
-        v = rest[0] - 1
-        entry = r + 1 - k
-        basis, _ = kernel_mod(cur.mats[v], cur.dims[v], cur.p)
-        if shortest:
-            order = _shortest_row_order(cur, v)
-        else:
-            order = range(cur.dims[v])
-        for vec in _line_reps(basis, cur.p):
-            j = next(j for j in order if vec[j])
-            box = cur.tags[v][j]
-            if want is not None and want.get(entry) != box:
-                continue
-            entry_at[box] = entry
-            qm, _ = quotient(cur, _line_with_pivot(cur, v, vec, j))
-            rec(qm, rest[1:], k + 1)
-            del entry_at[box]
-
-    rec(m, word, 1)
+        counts[filling] = count
     return counts
+
+
+def _classify_rec(
+    cur: NilModule,
+    rest: tuple[int, ...],
+    shortest: bool,
+    want: dict[int, Box] | None,
+    memo: dict,
+) -> dict[tuple[tuple[Box, int], ...], int]:
+    """Flags below one step, counted per partial filling: the (box, entry)
+    pairs the remaining steps assign, in step order."""
+    if not rest:
+        return {(): 1} if cur.total_dim == 0 else {}
+    key = (cur.dims, cur.mats, cur.tags, rest)
+    if key in memo:
+        return memo[key]
+    out: dict[tuple[tuple[Box, int], ...], int] = {}
+    v = rest[0] - 1
+    entry = len(rest)
+    basis, _ = kernel_mod(cur.mats[v], cur.dims[v], cur.p)
+    order = _shortest_row_order(cur, v) if shortest else range(cur.dims[v])
+    for vec in _line_reps(basis, cur.p):
+        j = next(j for j in order if vec[j])
+        box = cur.tags[v][j]
+        if want is not None and want.get(entry) != box:
+            continue
+        qm, _ = quotient(cur, _line_with_pivot(cur, v, vec, j))
+        for partial, count in _classify_rec(qm, rest[1:], shortest, want, memo).items():
+            full = ((box, entry),) + partial
+            out[full] = out.get(full, 0) + count
+    memo[key] = out
+    return out
 
 
 class FlagPoint:

@@ -377,6 +377,32 @@ def test_malformed_shape_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+UNREADABLE_JSON = {
+    # json.loads raises ValueError past Python's 4,300-digit int limit
+    "long_integer": "[" + "1" * 5000 + ", 2]",
+    # and RecursionError on deep nesting
+    "deep_nesting": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["gkm_check", "betti_shape"])
+@pytest.mark.parametrize(
+    "text", list(UNREADABLE_JSON.values()), ids=list(UNREADABLE_JSON)
+)
+def test_unreadable_json_exits_one(shape_file, tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "gkm_check":
+        argv = ["gkm", "--shape", shape_file(P1), "--filtration", "1,1", "--check", str(bad)]
+    else:
+        argv = ["betti", "--shape", str(bad), "--filtration", "1,1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid JSON in {bad}:")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_file_exits_one(capsys):
     rc = main(["betti", "--shape", "/nonexistent.json", "--filtration", "1"])
     assert rc == 1

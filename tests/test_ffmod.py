@@ -3,8 +3,10 @@ quotients, brute-force flag enumeration, and cell classification.
 
 The flag counts pinned here come from direct enumeration only; they are
 deliberately NOT taken from the counting recursions, so the two routes
-stay independent checks of one another.  The memoized `count_flags` is
-checked against the unmemoized `classify_flags` on the small grid.
+stay independent checks of one another.  Both `count_flags` (memoized on
+isomorphism classes of quotients) and `classify_flags` (memoized on exact
+quotients) are checked on the small grid against `walk_cells`, an
+unmemoized walk over every flag built here from `ffmod` primitives.
 """
 from itertools import permutations
 
@@ -29,7 +31,12 @@ from qfv import (
     split_flag,
 )
 from qfv.betti import f_graded
-from qfv.ffmod import _line_reps, _line_subspace
+from qfv.ffmod import (
+    _line_reps,
+    _line_subspace,
+    _line_with_pivot,
+    _shortest_row_order,
+)
 from qfv.linalg import kernel_mod
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
 
@@ -222,11 +229,47 @@ def test_quotients_pass_the_public_constructor():
     assert sum(walk(build_module(s, 2), w) for s, w in small_grid()) > 10_000
 
 
-def test_memoized_count_matches_brute_force_classification():
-    # count_flags memoizes on iso_class; classify_flags visits every flag
+def walk_cells(m, word, pivot):
+    """Point count per cell by visiting every flag, one line at a time:
+    the slow route that the memoized `classify_flags` must reproduce."""
+    counts = {}
+    entry_at = {}
+
+    def rec(cur, rest):
+        if not rest:
+            if cur.total_dim == 0:
+                filling = tuple(
+                    tuple(entry_at[Box(i, pos)] for pos in range(1, row.length + 1))
+                    for i, row in enumerate(m.shape.rows, start=1)
+                )
+                counts[filling] = counts.get(filling, 0) + 1
+            return
+        v = rest[0] - 1
+        basis, _ = kernel_mod(cur.mats[v], cur.dims[v], cur.p)
+        if pivot == "shortest":
+            order = _shortest_row_order(cur, v)
+        else:
+            order = range(cur.dims[v])
+        for vec in _line_reps(basis, cur.p):
+            j = next(j for j in order if vec[j])
+            box = cur.tags[v][j]
+            entry_at[box] = len(rest)
+            rec(quotient(cur, _line_with_pivot(cur, v, vec, j))[0], rest[1:])
+            del entry_at[box]
+
+    rec(m, tuple(word))
+    return counts
+
+
+@pytest.mark.parametrize("pivot", ["first", "shortest"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_memoized_classification_matches_flag_walk(p, pivot):
+    # three routes: the exact-quotient memo, the iso-class memo, no memo
     for shape, word in small_grid():
-        m = build_module(shape, 2)
-        assert count_flags(m, word) == sum(classify_flags(m, word).values())
+        m = build_module(shape, p)
+        walked = walk_cells(m, word, pivot)
+        assert classify_flags(m, word, pivot=pivot) == walked
+        assert count_flags(m, word) == sum(walked.values())
 
 
 def test_memoized_count_on_reference_instance(reference_shape):
@@ -234,6 +277,18 @@ def test_memoized_count_on_reference_instance(reference_shape):
     for p, flags in ((2, 202_419), (3, 5_883_904)):
         got = count_flags(build_module(reference_shape, p), REFERENCE_WORD)
         assert got == flags == poly.evaluate(p)
+
+
+def test_shortest_pivot_cells_of_the_whole_reference_variety(reference_shape):
+    ts = enumerate_tableaux(reference_shape, REFERENCE_WORD)
+    assert len(ts) == 1728
+    for p, flags in ((2, 202_419), (3, 5_883_904)):
+        m = build_module(reference_shape, p)
+        by_cell = classify_flags(m, REFERENCE_WORD, pivot="shortest")
+        assert by_cell == {
+            t.filling: p ** t.cell_dim(statistic="geometric") for t in ts
+        }
+        assert sum(by_cell.values()) == flags
 
 
 def shape_221():

@@ -312,7 +312,7 @@ def cmd_kato(args) -> int:
         raise CliError(
             EXIT_GUARD,
             f"{shape.size} boxes exceeds the limit of {KATO_BOX_LIMIT} for the "
-            f"graded sum and the orbit dimension; rerun with --force",
+            "graded sum; rerun with --force",
         )
     result = betti.kato_gdim(shape)
     if args.format == "json":
@@ -380,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_kato, filtration=False)
     p_kato.add_argument(
-        "--force", action="store_true", help="ignore the box-count guard"
+        "--force",
+        action="store_true",
+        help="ignore the box-count guard on the graded sum",
     )
     p_kato.set_defaults(func=cmd_kato)
 

@@ -506,7 +506,9 @@ def dim_end(shape: Shape) -> int:
     Solves the intertwiner system (next-vertex unknown times arrow equals
     arrow times this-vertex unknown, for every arrow) exactly over the
     rationals; the arrow matrices are 0/1, so the answer is
-    characteristic-free.
+    characteristic-free.  `betti.orbit_dim` counts dim End in closed
+    form instead; this is the slow independent route that the tests
+    check it against.
     """
     dims, mats, _ = _standard_module(shape)
     n = shape.n

@@ -152,7 +152,40 @@ def _add(a: dict, b: dict, sign: int) -> dict:
     return out
 
 
+# Size caps, checked before any product is formed, so that powers such as
+# 9^9^9 or (x1+x2+x3)^300 are refused at once instead of running for
+# hours.  One product may pair at most _MAX_TERM_PAIRS terms; the largest
+# coefficients of its two factors may have at most _MAX_COEFF_BITS bits
+# together, and that sum times the number of pairs may be at most
+# _MAX_PAIR_BITS (one or two of the bounds alone would still let a product
+# run for minutes).  A `**` exponent has at most _MAX_EXPONENT_BITS bits,
+# which bounds the squaring steps; past that, only the bases 0, 1 and -1
+# and monomials would pass the other caps.  2**100000 and x1**1000000
+# stay well within all four.
+_MAX_TERM_PAIRS = 10**5
+_MAX_COEFF_BITS = 2**20
+_MAX_PAIR_BITS = 2**27
+_MAX_EXPONENT_BITS = 64
+
+
+def _coeff_bits(poly: dict) -> int:
+    """Bit length of the largest numerator or denominator in `poly`."""
+    bits = 0
+    for c in poly.values():
+        if type(c) is int:
+            bits = max(bits, c.bit_length())
+        else:
+            bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+    return bits
+
+
 def _mul(a: dict, b: dict) -> dict:
+    pairs = len(a) * len(b)
+    if pairs > _MAX_TERM_PAIRS:
+        raise ValueError(f"product of {len(a)} by {len(b)} terms is too large")
+    bits = _coeff_bits(a) + _coeff_bits(b)
+    if bits > _MAX_COEFF_BITS or pairs * bits > _MAX_PAIR_BITS:
+        raise ValueError("product coefficients are too large")
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -180,6 +213,8 @@ def _binop(op: ast.operator, a: dict, b: dict, zero: tuple) -> dict:
     if c is None or c < 0 or c != int(c):
         raise ValueError("exponent is not a non-negative integer constant")
     e, result = int(c), {zero: 1}
+    if e.bit_length() > _MAX_EXPONENT_BITS:
+        raise ValueError(f"exponent has more than {_MAX_EXPONENT_BITS} bits")
     while e:
         if e & 1:
             result = _mul(result, a)
@@ -202,7 +237,8 @@ def _parse_poly(p, t: int) -> dict:
     An int or float is a constant; a string is parsed, with `^` meaning
     `**` as in sympy; any other object is parsed from `str(p)`.  The tree
     from `ast.parse` is folded bottom-up on an explicit stack, so long
-    sums do not recurse.  Raises ValueError for any other syntax.
+    sums do not recurse.  Raises ValueError for any other syntax and for
+    a product past the size caps.
     """
     if type(p) in (int, float):
         tree = ast.Expression(ast.Constant(p))
@@ -263,10 +299,11 @@ def membership_check(g: GkmGraph, polys: Sequence) -> tuple[bool, list[Edge]]:
     float, or any other object (a sympy expression, say) read through
     `str`.  A string may use x1..xt, integer and decimal literals, `+`,
     `-`, `*`, `/` by a nonzero constant and `**` (or `^`) by a
-    non-negative integer constant; anything else, other names included,
-    raises ValueError.  Strings are parsed, never evaluated, and the
-    arithmetic is exact over the rationals (a decimal such as 0.1 is
-    1/10).  For an edge on rows (p, q) the requirement is that the
+    non-negative integer constant of at most 64 bits; anything else,
+    other names included, raises ValueError, and so does a product past
+    the size caps (as in 9^9^9).  Strings are parsed, never evaluated,
+    and the arithmetic is exact over the rationals (a decimal such as
+    0.1 is 1/10).  For an edge on rows (p, q) the requirement is that the
     difference vanish under substituting x_p by x_q.  Returns the overall
     verdict plus the failing edges, in edge order.
     """

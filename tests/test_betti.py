@@ -1,5 +1,6 @@
 """Graded counting: q-polynomials, the peel-a-box recursions, bundle and
 orbit dimensions, and the assembled graded module dimension."""
+import json
 from collections import Counter
 
 import pytest
@@ -27,7 +28,9 @@ from qfv import (
     q_int,
     remove_box,
 )
+from qfv import ffmod, linalg
 from qfv.betti import PoincarePoly
+from qfv.cli import main
 from qfv.tableaux import enumerate_by_filtration
 
 
@@ -217,6 +220,48 @@ def test_orbit_dim_values():
     assert orbit_dim(Shape(1, [Row(1, 1), Row(1, 1)])) == 0
     assert orbit_dim(Shape(1, [Row(1, 2), Row(1, 1)])) == 4
     assert orbit_dim(Shape(1, [])) == 0
+
+
+def test_orbit_dim_matches_linear_algebra_on_grid():
+    # slow independent route: dim End by exact rational elimination of the
+    # intertwiner system, on every shape with n <= 4, <= 4 rows and <= 8
+    # boxes (<= 7 at n = 4)
+    shapes = [s for n in (1, 2, 3) for s in all_shapes(n, 8, 4)]
+    shapes += all_shapes(4, 7, 4)
+    assert len(shapes) == 2475
+    for shape in shapes:
+        group = sum(d * d for d in shape.dim_vector())
+        assert orbit_dim(shape) == group - ffmod.dim_end(shape), shape
+
+
+# (n, rows, gdim, orbit_dim) as computed by the linear-algebra route
+KATO_CASES = [
+    (1, [(1, 2), (1, 1)], "t^4 + t^5 + t^6", 4),
+    (2, [(1, 3), (2, 2), (1, 1)], "2t^10 + 7t^11 + 15t^12 + 19t^13 + 13t^14 + 4t^15", 11),
+    (4, [(2, 3), (4, 1), (1, 2)], "16t^8 + 24t^9 + 14t^10 + 5t^11 + t^12", 8),
+]
+
+
+def test_kato_needs_no_linear_algebra(monkeypatch, tmp_path, capsys):
+    # the recursion route stays independent of the module route
+    def boom(*args):
+        raise AssertionError("linear algebra on the kato path")
+
+    monkeypatch.setattr(ffmod, "dim_end", boom)
+    monkeypatch.setattr(ffmod, "rank_rational", boom)
+    monkeypatch.setattr(linalg, "rank_rational", boom)
+    for n, rows, gdim, odim in KATO_CASES:
+        shape = Shape(n, [Row(*r) for r in rows])
+        k = kato_gdim(shape)
+        assert (k.tstring(), k.orbit_dim) == (gdim, odim)
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(shape.to_json()))
+        assert main(["kato", "--shape", str(path)]) == 0
+        assert capsys.readouterr().out == f"gdim: {gdim}\norbit_dim: {odim}\n"
+    k = kato_gdim(reference_shape())
+    assert (k.total(), k.coeffs[45], k.coeffs[70], k.orbit_dim) == (
+        25225200, 221, 8, 47
+    )
 
 
 def test_multiset_words_enumerates_lexicographically():

@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, output formats, exit codes, guards."""
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfv import Shape, ffmod
 from qfv.cli import main
 
 P1 = {"n": 1, "rows": [{"socle": 1, "len": 1}, {"socle": 1, "len": 1}]}
@@ -223,6 +230,34 @@ def test_gkm_check_on_long_sums(shape_file, tmp_path, capsys, terms, rc):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["9^9^9", "(x1+x2+x3)^300", "x1^(2^64)"],
+    ids=["tower", "multi_term_power", "huge_exponent"],
+)
+def test_gkm_check_refuses_oversized_powers(shape_file, tmp_path, capsys, text):
+    # exact powers past the size caps are refused before they are formed;
+    # three unit rows give 6 nodes in x1..x3
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps([text] + ["x1"] * 5))
+    shape = shape_file({"n": 1, "rows": [{"socle": 1, "len": 1}] * 3})
+    argv = ["gkm", "--shape", shape, "--filtration", "1,1,1", "--check", str(check)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad polynomial tuple:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_gkm_check_keeps_large_single_term_powers(shape_file, tmp_path, capsys):
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps(["x1^1000000 + 2^100000", "x2**1000000 + 2**100000"]))
+    argv = ["gkm", "--shape", shape_file(P1), "--filtration", "1,1", "--check", str(check)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "member: true\n"
+
+
 def test_gkm_dot_output(shape_file, capsys):
     rc = main(
         [
@@ -309,6 +344,14 @@ def test_huge_cycle_length_exits_three(shape_file, capsys, command):
     err = capsys.readouterr().err
     assert rc == 3
     assert err == "error: out of memory\n"
+
+
+def test_kato_on_a_long_cycle_with_one_box(shape_file, capsys):
+    # the orbit dimension is counted from the rows, with no per-vertex
+    # linear algebra, so a cycle of 10^6 vertices is cheap
+    path = shape_file({"n": 10**6, "rows": [{"socle": 1, "len": 1}]})
+    assert main(["kato", "--shape", path]) == 0
+    assert capsys.readouterr().out == "gdim: 1\norbit_dim: 0\n"
 
 
 def test_kato_guard_and_force(shape_file, capsys):
@@ -442,3 +485,77 @@ def test_non_integer_shape_fields_exit_one(shape_file, capsys, data):
     assert err.startswith("error: bad shape:")
     assert "must be an integer" in err
     assert "Traceback" not in err
+
+
+# JSON values that are not integers
+_KATO_FUZZ_JUNK = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(1, 3), max_size=2),
+)
+_KATO_FUZZ_ROW = st.fixed_dictionaries(
+    {
+        "socle": st.one_of(st.integers(1, 4), st.integers(-(10**30), 10**30)),
+        # about one row in three is long enough to trip the box guard
+        "len": st.one_of(st.integers(1, 3), st.integers(1, 3), st.integers(13, 10**30)),
+    }
+)
+
+
+@st.composite
+def _kato_fuzz_shape(draw):
+    """A shape object, valid or with one fault: a bad or missing `n` or
+    `rows`, a row that is not an object, or a bad or missing row field.
+    n stays at most 10^4, since the fold keeps one n-tuple per state."""
+    shape = {
+        "n": draw(st.one_of(st.integers(1, 4), st.integers(5, 10**4))),
+        "rows": draw(st.lists(_KATO_FUZZ_ROW, max_size=4)),
+    }
+    bad = st.one_of(_KATO_FUZZ_JUNK, st.integers(-2, 0))
+    fault = draw(st.sampled_from([None, None, None, "n", "rows", "key", "row", "field"]))
+    if fault == "n":
+        shape["n"] = draw(bad)
+    elif fault == "rows":
+        shape["rows"] = draw(st.one_of(_KATO_FUZZ_JUNK, st.integers(), _KATO_FUZZ_ROW))
+    elif fault == "key":
+        del shape[draw(st.sampled_from(["n", "rows"]))]
+    elif fault and shape["rows"]:
+        i = draw(st.integers(0, len(shape["rows"]) - 1))
+        if fault == "row":
+            shape["rows"][i] = draw(st.one_of(_KATO_FUZZ_JUNK, st.integers()))
+        else:
+            key = draw(st.sampled_from(["socle", "len"]))
+            if draw(st.booleans()):
+                del shape["rows"][i][key]
+            else:
+                shape["rows"][i][key] = draw(bad)
+    return shape
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(_kato_fuzz_shape(), st.sampled_from(["table", "json"]))
+def test_kato_shape_fuzz(data, fmt):
+    # any shape object exits 0..4 without a traceback; on success the
+    # orbit dimension is the group dimension minus dim End by linear algebra
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shape.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["kato", "--shape", path, "--format", fmt])
+    assert 0 <= rc <= 4
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        text = out.getvalue()
+        if fmt == "json":
+            got = json.loads(text)["orbit_dim"]
+        else:
+            got = int(text.rsplit("orbit_dim: ", 1)[1])
+        shape = Shape.from_json(data)
+        group = sum(d * d for d in shape.dim_vector())
+        assert got == group - ffmod.dim_end(shape)
+    else:
+        assert err.getvalue().startswith("error: ")

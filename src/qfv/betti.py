@@ -245,8 +245,11 @@ def _graded_steps(state):
 
 
 def f_count(shape: Shape, f: Sequence[int]) -> int:
-    """Number of cells by the end-box recursion: the graded count at q = 1."""
-    return f_graded(shape, f).total()
+    """Number of cells by the end-box recursion: the graded count at q = 1,
+    the sum of the pinned fold's coefficients (any statistic sums to it)."""
+    word = validate_word(f, shape.n)
+    state = (shape.n, shape.rows, word, False)
+    return sum(c for _, c in _fold(state, _graded_steps, _GRADED_MEMO))
 
 
 def f_graded(
@@ -374,6 +377,17 @@ class KatoGdim:
         return f"KatoGdim({self.tstring()!r}, orbit_dim={self.orbit_dim})"
 
 
+def _boxes_at(rows: tuple[Row, ...], w: int, n: int) -> int:
+    """Number of boxes with column label w among the rows: a row of length
+    l ending at s covers the labels s, s-1, ..., s-l+1 (mod n)."""
+    total = 0
+    for row in rows:
+        gap = (row.socle - w) % n  # steps back from the socle to label w
+        if gap < row.length:
+            total += (row.length - 1 - gap) // n + 1
+    return total
+
+
 def kato_gdim(shape: Shape) -> KatoGdim:
     """Sum the graded counts over every filtration word of the shape.
 
@@ -381,22 +395,28 @@ def kato_gdim(shape: Shape) -> KatoGdim:
     a contribution at t-exponent e - j.  Both split over the steps: with
     `used` counting the letters placed so far, a step at vertex v adds
     used[v+1] + used[v] to e (the `bundle_dim` increment) and its pinned
-    shift to j, so one fold over (rows, used) covers every word.  The
-    orbit dimension comes from `orbit_dim`'s closed form, so nothing here
-    touches linear algebra.
+    shift to j, so one fold covers every word.  The used[v] terms add up
+    to the flag part, sum d(d-1)/2 over the dimension vector, the same
+    for every word, so it is added once at the end.  The letters placed
+    are the boxes removed, so used[v+1] is the original dimension at v+1
+    minus the boxes left there: the fold's states are the rows alone.
+    The orbit dimension comes from `orbit_dim`'s closed form, so nothing
+    here touches linear algebra.
     """
     n = shape.n
+    dims = shape.dim_vector()
 
-    def steps(state):
-        rows, used = state
+    def steps(rows):
         if not rows:
             return None
         out = []
         for v in {row.socle for row in rows}:
-            e = used[v % n] + used[v - 1]
-            after = used[: v - 1] + (used[v - 1] + 1,) + used[v:]
+            w = v % n + 1
+            fiber = dims[w - 1] - _boxes_at(rows, w, n)
             for shift, left in _end_box_steps(rows, v, n, False):
-                out.append((e - shift, (left, after)))
+                out.append((fiber - shift, left))
         return out
 
-    return KatoGdim(dict(_fold((shape.rows, (0,) * n), steps, {})), orbit_dim(shape))
+    flag = sum(d * (d - 1) // 2 for d in dims)
+    coeffs = {k + flag: c for k, c in _fold(shape.rows, steps, {})}
+    return KatoGdim(coeffs, orbit_dim(shape))

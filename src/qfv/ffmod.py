@@ -5,8 +5,8 @@ of a shape with one basis vector per box, enumerate complete flags of
 submodules line by line (each step picks a line inside the socle at the
 step's vertex and passes to the quotient), count them, and classify each
 flag into a cell by reading off pivot coordinates.  Neither walks flag
-by flag: `count_flags` memoizes its count on the isomorphism class of
-each quotient, found by rank arithmetic (`iso_class`), and
+by flag: `count_flags` memoizes its count on each exact quotient and on
+its isomorphism class, found by rank arithmetic (`iso_class`), and
 `classify_flags` memoizes its per-cell counts on each exact quotient.
 None of it consults the counting recursions, which is the point: the
 two routes must be comparable, not entangled.
@@ -276,10 +276,13 @@ def count_flags(m: NilModule, f: Sequence[int], p: int | None = None) -> int:
     The number of flags below a step depends only on the isomorphism
     class of the quotient and the rest of the word, so the recursion is
     memoized on (`iso_class(quotient).rows`, rest of word) in a dict that
-    lives for this call only.  `iso_class` works by rank arithmetic and
-    never consults the counting recursions.  `classify_flags` reaches the
-    same flags through a memo on exact quotients instead, and never calls
-    `iso_class`; its counts sum to this one.
+    lives for this call only.  The same dict also holds each count under
+    the exact quotient (`dims`, `mats`, rest of word), looked up first,
+    so a quotient met again skips `iso_class`.  `iso_class` works by rank
+    arithmetic and never consults the counting recursions.
+    `classify_flags` reaches the same flags through a memo on exact
+    quotients alone, and never calls `iso_class`; its counts sum to this
+    one.
     """
     if p is not None and p != m.p:
         raise ValueError(f"module lives over F_{m.p}, not F_{p}")
@@ -290,15 +293,22 @@ def count_flags(m: NilModule, f: Sequence[int], p: int | None = None) -> int:
 def _count_rec(m: NilModule, word: tuple[int, ...], memo: dict) -> int:
     if not word:
         return 1 if m.total_dim == 0 else 0
+    # exact keys have three parts, iso-class keys two, so they never meet
+    exact = (m.dims, m.mats, word)
+    count = memo.get(exact)
+    if count is not None:
+        return count
     key = (iso_class(m).rows, word)
-    if key not in memo:
+    count = memo.get(key)
+    if count is None:
         v = word[0] - 1
         basis, _ = kernel_mod(m.mats[v], m.dims[v], m.p)
-        memo[key] = sum(
+        count = memo[key] = sum(
             _count_rec(quotient(m, _line_subspace(m, v, vec))[0], word[1:], memo)
             for vec in _line_reps(basis, m.p)
         )
-    return memo[key]
+    memo[exact] = count
+    return count
 
 
 def _line_with_pivot(

@@ -35,50 +35,86 @@ class SplitSummand(NamedTuple):
 
 
 class RowMultiTableau:
-    """A validated filling of a shape."""
+    """A validated filling of a shape.
 
-    __slots__ = ("shape", "filling", "_box_of_entry")
+    The constructor checks the filling and, in the same pass, fills flat
+    per-entry tables indexed by entry (slot 0 unused): the box's row and
+    position, its column label in 1..n, and its right neighbour in the
+    row (r + 1 at a row end).  The statistics read only these tables.
+    Entries must be ints: bools and floats are rejected, not converted.
+    """
+
+    __slots__ = ("shape", "filling", "_row", "_pos", "_label", "_right")
 
     def __init__(self, shape: Shape, filling: Iterable[Iterable[int]]):
-        filling = tuple(tuple(int(e) for e in row) for row in filling)
-        if len(filling) != len(shape.rows):
+        filling = tuple(map(tuple, filling))
+        rows = shape.rows
+        if len(filling) != len(rows):
             raise ValueError(
-                f"filling has {len(filling)} rows, shape has {len(shape.rows)}"
+                f"filling has {len(filling)} rows, shape has {len(rows)}"
             )
+        n = shape.n
         r = shape.size
-        box_of_entry: dict[int, Box] = {}
-        for i, (row, entries) in enumerate(zip(shape.rows, filling), start=1):
+        row_of = [0] * (r + 1)
+        pos_of = [0] * (r + 1)
+        label_of = [0] * (r + 1)
+        right_of = [0] * (r + 1)
+        # integers outside 1..r, kept only to report a duplicate among
+        # them, in scan order, before the range error at the end
+        stray: set[int] | None = None
+        for i, (row, entries) in enumerate(zip(rows, filling), start=1):
             if len(entries) != row.length:
                 raise ValueError(
                     f"row {i} holds {len(entries)} entries for {row.length} boxes"
                 )
+            base = row.socle - row.length - 1
+            prev = 0
             for pos, e in enumerate(entries, start=1):
-                if pos > 1 and entries[pos - 2] >= e:
+                if type(e) is not int:
+                    raise ValueError(f"entries must be exactly 1..{r}")
+                if pos > 1 and prev >= e:
                     raise ValueError(f"row {i} is not strictly increasing")
-                if e in box_of_entry:
+                if 0 < e <= r:
+                    if row_of[e]:
+                        raise ValueError(f"entry {e} appears twice")
+                    row_of[e] = i
+                    pos_of[e] = pos
+                    label_of[e] = (base + pos) % n + 1
+                    if 0 < prev <= r:
+                        right_of[prev] = e
+                elif stray is None:
+                    stray = {e}
+                elif e in stray:
                     raise ValueError(f"entry {e} appears twice")
-                box_of_entry[e] = Box(i, pos)
-        if set(box_of_entry) != set(range(1, r + 1)):
+                else:
+                    stray.add(e)
+                prev = e
+            if 0 < prev <= r:
+                right_of[prev] = r + 1
+        if stray:
             raise ValueError(f"entries must be exactly 1..{r}")
         self.shape = shape
         self.filling = filling
-        self._box_of_entry = box_of_entry
+        self._row = row_of
+        self._pos = pos_of
+        self._label = label_of
+        self._right = right_of
 
     @property
     def size(self) -> int:
-        return self.shape.size
+        return len(self._row) - 1
 
     def box_of_entry(self, e: int) -> Box:
-        if e not in self._box_of_entry:
+        if not (isinstance(e, int) and 1 <= e <= self.size):
             raise ValueError(f"no entry {e} in a filling of size {self.size}")
-        return self._box_of_entry[e]
+        return Box(self._row[e], self._pos[e])
 
     def step_box(self, k: int) -> Box:
         """Box filled at step k, i.e. the box holding entry r+1-k."""
         r = self.size
-        if not 1 <= k <= r:
+        if not (isinstance(k, int) and 1 <= k <= r):
             raise ValueError(f"step {k} out of range 1..{r}")
-        return self._box_of_entry[r + 1 - k]
+        return Box(self._row[r + 1 - k], self._pos[r + 1 - k])
 
     def d_tau(self, k: int, statistic: str = "pinned") -> int:
         """Number of free directions contributed by entry k.
@@ -105,47 +141,39 @@ class RowMultiTableau:
         return self._free_directions(k, geometric)
 
     def _free_directions(self, k: int, geometric: bool) -> int:
-        rows, n = self.shape.rows, self.shape.n
-        row_k, pos_k = self._box_of_entry[k]
-        # column labels are compared as residues mod n
-        label_k = (rows[row_k - 1].socle - rows[row_k - 1].length + pos_k) % n
+        label, right, row = self._label, self._right, self._row
+        label_k, row_k = label[k], row[k]
         count = 0
+        # rows increase, so an s < k in k's row has its right neighbour
+        # <= k, and an s in another row is blocked when that neighbour is
+        # < k: right[s] > k keeps exactly the unblocked s of other rows
+        if not geometric:
+            for s in range(1, k):
+                if label[s] == label_k and right[s] > k and row[s] > row_k:
+                    count += 1
+            return count
+        # l_k is k's position; l_s is s's position, s being unblocked
+        pos = self._pos
+        pos_k = pos[k]
         for s in range(1, k):
-            row_s, pos_s = self._box_of_entry[s]
-            if row_s == row_k:
-                continue
-            if geometric:
-                # l_k is k's position; l_s is s's position once s is known
-                # to be unblocked, which is checked below
-                if (pos_s, row_s) < (pos_k, row_k):
-                    continue
-            elif row_s < row_k:
-                continue
-            row = rows[row_s - 1]
-            if (row.socle - row.length + pos_s) % n != label_k:
-                continue
-            # rows increase, so s is blocked when its right neighbour is < k
-            entries = self.filling[row_s - 1]
-            if pos_s < len(entries) and entries[pos_s] < k:
-                continue
-            count += 1
+            if label[s] == label_k and right[s] > k:
+                if pos[s] > pos_k or (pos[s] == pos_k and row[s] > row_k):
+                    count += 1
         return count
 
     def cell_dim(self, statistic: str = "pinned") -> int:
         """Dimension of the cell: the sum of `d_tau` over all entries,
         under the pinned (default) or the geometric statistic."""
         geometric = validate_statistic(statistic) == "geometric"
-        return sum(
-            self._free_directions(k, geometric) for k in range(1, self.size + 1)
-        )
+        total = 0
+        for k in range(1, self.size + 1):
+            total += self._free_directions(k, geometric)
+        return total
 
     def dim_filtration(self) -> tuple[int, ...]:
-        """The induced word: letter k is the column label of the step-k box."""
-        r = self.size
-        return tuple(
-            self.shape.label(self._box_of_entry[r + 1 - k])
-            for k in range(1, r + 1)
-        )
+        """The induced word: letter k is the column label of the step-k box,
+        the box holding entry r+1-k."""
+        return tuple(self._label[:0:-1])
 
     def split_module(self) -> tuple[SplitSummand, ...]:
         """Per-row flags of the unique direct-sum-compatible flag point.
@@ -247,8 +275,9 @@ def enumerate_tableaux(
     """All fillings of `shape` inducing the filtration `word`.
 
     Incompatible words give an empty list.  Rows fill right to left as
-    entries descend, so the strict-increase invariant holds by
-    construction; the constructor revalidates anyway.
+    entries descend, so every filling is valid by construction; the
+    constructor still checks it, in the same single pass over the
+    entries that fills the per-entry tables the statistics read.
     """
     word = validate_word(word, shape.n)
     if not is_compatible(shape, word):

@@ -1,6 +1,7 @@
 """Graded counting: q-polynomials, the peel-a-box recursions, bundle and
 orbit dimensions, and the assembled graded module dimension."""
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -307,3 +308,21 @@ def test_kato_gdim_matches_enumerated_cell_dimensions(grid_stats):
                 expected[e - d] += c
         assert kato_gdim(shape).coeffs == dict(expected), shape
     assert len(grid_stats) == 765
+
+
+def test_kato_gdim_memory_does_not_grow_with_the_cycle():
+    # labels 1..5 on both cycles, so no row wraps and the two modules are
+    # the same; the fold's states are the rows alone, with nothing of
+    # size n in them (states keyed with an n-tuple of letters used
+    # peaked at about 51 MB here)
+    rows = [Row(3, 3), Row(4, 3), Row(4, 3), Row(5, 3)]
+    small = kato_gdim(Shape(50, rows))
+    tracemalloc.start()
+    try:
+        big = kato_gdim(Shape(30_000, rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert big == small
+    assert (small.total(), small.orbit_dim) == (369600, 25)
+    assert peak < 4_000_000

@@ -559,3 +559,85 @@ def test_kato_shape_fuzz(data, fmt):
         assert got == group - ffmod.dim_end(shape)
     else:
         assert err.getvalue().startswith("error: ")
+
+
+def test_tableaux_json_on_one_long_row_is_linear_per_entry(shape_file, capsys):
+    # 1500 d_tau calls: each walks the smaller entries once, so a d_tau
+    # that rebuilt the whole quadratic table per call would not finish
+    path = shape_file({"n": 1, "rows": [{"socle": 1, "len": 1500}]})
+    word = ",".join(["1"] * 1500)
+    rc = main(["tableaux", "--shape", path, "--filtration", word, "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    data = json.loads(captured.out)
+    assert data["count"] == 1
+    (tableau,) = data["tableaux"]
+    assert tableau["d_tau"] == [0] * 1500
+    assert tableau["dim"] == 0
+    assert "Traceback" not in captured.err
+
+
+_WORD_FUZZ_SHAPES = (
+    P1,
+    S21,
+    {"n": 2, "rows": [{"socle": 1, "len": 2}, {"socle": 2, "len": 1}]},
+    {"n": 3, "rows": [{"socle": 3, "len": 3}, {"socle": 2, "len": 2}]},
+)
+_WORD_FUZZ_JUNK = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.sampled_from([0, -1, -(10**30), 10**30]),
+)
+
+
+@st.composite
+def _word_fuzz_case(draw):
+    """A shape and a word for it: compatible, of valid letters in the
+    wrong counts, over-long, or with one junk letter."""
+    data = draw(st.sampled_from(_WORD_FUZZ_SHAPES))
+    shape = Shape.from_json(data)
+    letters = [v for v, d in enumerate(shape.dim_vector(), start=1) for _ in range(d)]
+    kind = draw(st.sampled_from(["compatible", "compatible", "letters", "long", "junk"]))
+    if kind == "compatible":
+        word = draw(st.permutations(letters))
+    elif kind == "letters":
+        word = draw(st.lists(st.integers(1, shape.n), max_size=shape.size + 2))
+    elif kind == "long":
+        word = [1] * draw(st.integers(shape.size + 1, 3000))
+    else:
+        word = list(draw(st.permutations(letters)))
+        word[draw(st.integers(0, len(word) - 1))] = draw(_WORD_FUZZ_JUNK)
+    return data, list(word)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(_word_fuzz_case())
+def test_filtration_word_fuzz(case):
+    # any word file exits 0..4 without a traceback, the same for tableaux
+    # and betti; on success both count the same cells
+    data, word = case
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        shape_path = os.path.join(tmp, "shape.json")
+        word_path = os.path.join(tmp, "word.json")
+        with open(shape_path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with open(word_path, "w", encoding="utf-8") as fh:
+            json.dump({"word": word}, fh)
+        for command in ("tableaux", "betti"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(
+                    [command, "--shape", shape_path, "--filtration", word_path,
+                     "--format", "json"]
+                )
+            assert 0 <= rc <= 4
+            assert "Traceback" not in err.getvalue()
+            results[command] = (rc, out.getvalue())
+    assert results["tableaux"][0] == results["betti"][0]
+    if results["tableaux"][0] == 0:
+        tab = json.loads(results["tableaux"][1])
+        assert tab["count"] == json.loads(results["betti"][1])["count"]

@@ -30,6 +30,7 @@ from qfv import (
     socle,
     split_flag,
 )
+from qfv import ffmod
 from qfv.betti import f_graded
 from qfv.ffmod import (
     _line_reps,
@@ -167,6 +168,29 @@ def test_count_flags_empty_module():
 def test_count_flags_full_flag_unit_rows():
     m = build_module(Shape(1, [Row(1, 1)] * 3), 2)
     assert count_flags(m, (1, 1, 1)) == 21
+
+
+def test_count_flags_ranks_each_exact_quotient_once(monkeypatch):
+    # the rest of the word is fixed by the quotient's dimension, so a
+    # second iso_class call on the same dims and matrices would be a
+    # memo hit paying the rank arithmetic again
+    seen = []
+    real = ffmod.iso_class
+
+    def spy(m):
+        seen.append((m.dims, m.mats))
+        return real(m)
+
+    monkeypatch.setattr(ffmod, "iso_class", spy)
+    shape = Shape(1, [Row(1, 2), Row(1, 1), Row(1, 1)])
+    for p, flags in ((2, 51), (3, 136)):
+        seen.clear()
+        assert count_flags(build_module(shape, p), (1, 1, 1, 1)) == flags
+        assert len(seen) == len(set(seen)) > 1
+    seen.clear()
+    m = build_module(Shape(3, REFERENCE_ROWS), 2)
+    assert count_flags(m, REFERENCE_WORD) == 202419
+    assert len(seen) == len(set(seen))
 
 
 def test_count_flags_mixed_lengths():

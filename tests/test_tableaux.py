@@ -1,12 +1,17 @@
 """Tableau validation, the free-coordinate statistic, placement enumeration,
 and the split-module reading of a filling."""
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REFERENCE_D_TAU,
     REFERENCE_DIM,
     REFERENCE_FILLING,
     REFERENCE_WORD,
+    all_shapes,
 )
 from qfv import (
     Box,
@@ -210,3 +215,181 @@ def test_tableau_from_json_respects_file_row_order():
     t = RowMultiTableau.from_json(data)
     assert t.shape.rows == (Row(1, 1), Row(1, 2))
     assert t.filling == ((3,), (1, 2))
+
+
+def _reference_d_tau(shape, filling, k, geometric):
+    """Free directions of entry k read straight off the definition in
+    `RowMultiTableau.d_tau`, from the filling and the shape alone."""
+    box = {
+        e: Box(i, pos)
+        for i, entries in enumerate(filling, start=1)
+        for pos, e in enumerate(entries, start=1)
+    }
+    row_k, pos_k = box[k]
+    count = 0
+    for s in range(1, k):
+        row_s, pos_s = box[s]
+        if row_s == row_k:
+            continue
+        if geometric:
+            if (pos_s, row_s) < (pos_k, row_k):
+                continue
+        elif row_s < row_k:
+            continue
+        if shape.label(box[s]) != shape.label(box[k]):
+            continue
+        entries = filling[row_s - 1]
+        if pos_s < len(entries) and entries[pos_s] < k:
+            continue  # s's row holds an entry between s and k
+        count += 1
+    return count
+
+
+def _all_fillings(shape):
+    """Every filling with strictly increasing rows: each row takes a
+    subset of the entries left, listed in increasing order."""
+
+    def rec(i, left):
+        if i == len(shape.rows):
+            yield ()
+            return
+        for chosen in itertools.combinations(left, shape.rows[i].length):
+            rest = tuple(e for e in left if e not in chosen)
+            for tail in rec(i + 1, rest):
+                yield (chosen,) + tail
+
+    return rec(0, tuple(range(1, shape.size + 1)))
+
+
+def test_statistics_match_the_definition_on_the_small_grid():
+    checked = 0
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 6, 4):
+            fillings = list(_all_fillings(shape))
+            enumerated = enumerate_by_filtration(shape)
+            assert sorted(t.filling for ts in enumerated.values() for t in ts) == sorted(
+                fillings
+            )
+            for filling in fillings:
+                t = RowMultiTableau(shape, filling)
+                for statistic in ("pinned", "geometric"):
+                    ref = [
+                        _reference_d_tau(shape, filling, k, statistic == "geometric")
+                        for k in range(1, shape.size + 1)
+                    ]
+                    got = [t.d_tau(k, statistic) for k in range(1, shape.size + 1)]
+                    assert got == ref, (shape, filling, statistic)
+                    assert t.cell_dim(statistic) == sum(ref)
+                checked += 1
+    assert checked > 10_000
+
+
+_FAULTS = (
+    None,
+    "row_count",
+    "row_length",
+    "increase",
+    "duplicate",
+    "zero",
+    "over",
+    "bool",
+    "float",
+)
+
+
+@st.composite
+def _filling_with_fault(draw):
+    """A shape, a filling of it with at most one fault, and the message
+    the constructor must give for that fault (None when valid)."""
+    n = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.builds(Row, st.integers(1, n), st.integers(1, 3)), min_size=1, max_size=4
+        )
+    )
+    shape = Shape(n, rows)
+    r = shape.size
+    order = draw(st.permutations(range(1, r + 1)))
+    filling, at = [], 0
+    for row in shape.rows:
+        filling.append(sorted(order[at : at + row.length]))
+        at += row.length
+    options = [f for f in _FAULTS if f != "increase" or any(len(e) > 1 for e in filling)]
+    # (row, position, value) replacements that leave the row increasing
+    dups = [
+        (i, pos, x)
+        for i, entries in enumerate(filling)
+        for pos in range(len(entries))
+        for j, other in enumerate(filling)
+        if j != i
+        for x in other
+        if (pos == 0 or entries[pos - 1] < x)
+        and (pos == len(entries) - 1 or x < entries[pos + 1])
+    ]
+    if not dups:
+        options.remove("duplicate")
+    fault = draw(st.sampled_from(options))
+    i = draw(st.integers(0, len(filling) - 1))
+    entries = filling[i]
+    pos = draw(st.integers(0, len(entries) - 1))
+    message = f"entries must be exactly 1..{r}"
+    if fault is None:
+        message = None
+    elif fault == "row_count":
+        if draw(st.booleans()):
+            filling.append([])
+        else:
+            filling.pop()
+        message = f"filling has {len(filling)} rows, shape has {len(shape.rows)}"
+    elif fault == "row_length":
+        if len(entries) > 1 and draw(st.booleans()):
+            entries.pop()
+        else:
+            entries.append(r + 1)
+        length = shape.rows[i].length
+        message = f"row {i + 1} holds {len(entries)} entries for {length} boxes"
+    elif fault == "increase":
+        i = draw(st.sampled_from([j for j, e in enumerate(filling) if len(e) > 1]))
+        entries = filling[i]
+        pos = draw(st.integers(0, len(entries) - 2))
+        entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
+        message = f"row {i + 1} is not strictly increasing"
+    elif fault == "duplicate":
+        i, pos, x = draw(st.sampled_from(dups))
+        filling[i][pos] = x
+        message = f"entry {x} appears twice"
+    elif fault == "zero":
+        entries[0] = 0
+    elif fault == "over":
+        entries[-1] = r + 1
+    elif fault == "bool":
+        entries[pos] = draw(st.booleans())
+    elif fault == "float":
+        entries[pos] = entries[pos] + draw(st.sampled_from([0.0, 0.5]))
+    return shape, filling, message
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(_filling_with_fault())
+def test_constructor_checks_in_one_pass(case):
+    shape, filling, message = case
+    if message is not None:
+        with pytest.raises(ValueError) as err:
+            RowMultiTableau(shape, filling)
+        assert str(err.value) == message
+        return
+    t = RowMultiTableau(shape, filling)
+    assert t.filling == tuple(map(tuple, filling))
+    again = RowMultiTableau.from_json(t.to_json())
+    assert again == t and hash(again) == hash(t)
+    r = shape.size
+    assert [again.d_tau(k) for k in range(1, r + 1)] == [
+        _reference_d_tau(shape, t.filling, k, False) for k in range(1, r + 1)
+    ]
+    assert [again.box_of_entry(e) for e in range(1, r + 1)] == [
+        Box(i, pos)
+        for e in range(1, r + 1)
+        for i, entries in enumerate(t.filling, start=1)
+        for pos, x in enumerate(entries, start=1)
+        if x == e
+    ]

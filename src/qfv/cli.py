@@ -9,10 +9,15 @@ Exit codes: 0 success (and, for oracle runs, full agreement), 1
 malformed input or unwritable output, 2 structurally valid but
 incompatible inputs, 3 resource guard tripped (override with --force)
 or out of memory, 4 oracle mismatch.
+
+`main` may be called any number of times in one process.  The argument
+parser is built on the first call and reused by later ones; parsing
+keeps no state in it, so every call behaves as in a fresh process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -389,16 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import: building costs about a
+    # millisecond, as much as a whole small kato run
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except MemoryError:
-        # a huge cycle length n allocates per-vertex tables of size n
+    except (MemoryError, OverflowError):
+        # a huge cycle length n allocates per-vertex tables of size n;
+        # from n = 2^63 on, such a table cannot even be indexed
         print("error: out of memory", file=sys.stderr)
         return EXIT_GUARD
 

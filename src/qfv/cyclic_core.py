@@ -69,7 +69,7 @@ class Shape:
     exists because box removal must preserve row identity instead.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_size")
 
     def __init__(self, n: int, rows: Iterable[Row], keep_order: bool = False):
         if n < 1:
@@ -83,11 +83,12 @@ class Shape:
             normalized.sort(key=_canonical_key(n))
         self.n = n
         self.rows = tuple(normalized)
+        self._size = sum(row.length for row in normalized)
 
     @property
     def size(self) -> int:
         """Total number of boxes."""
-        return sum(row.length for row in self.rows)
+        return self._size
 
     def boxes(self) -> Iterator[Box]:
         """All boxes in row-major order (top row first, left to right)."""

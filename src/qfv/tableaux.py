@@ -207,6 +207,10 @@ class RowMultiTableau:
             filling = data["filling"]
         except KeyError as exc:
             raise ValueError("missing filling") from exc
+        if not isinstance(filling, list) or not all(
+            isinstance(row, list) for row in filling
+        ):
+            raise ValueError(f"filling must be a list of lists, got {filling!r}")
         return cls(shape, filling)
 
     def __eq__(self, other) -> bool:

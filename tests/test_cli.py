@@ -3,13 +3,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfv import Shape, ffmod
+from qfv import Shape, cli, ffmod
 from qfv.cli import main
 
 P1 = {"n": 1, "rows": [{"socle": 1, "len": 1}, {"socle": 1, "len": 1}]}
@@ -334,16 +336,27 @@ def test_tableaux_on_one_long_row_has_one_cell(shape_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [["betti", "--filtration", "1"], ["kato"]], ids=["betti", "kato"]
+    "command",
+    [
+        ["tableaux", "--filtration", "1,1"],
+        ["betti", "--filtration", "1,1"],
+        ["oracle", "--filtration", "1,1"],
+        ["gkm", "--filtration", "1,1"],
+        ["kato"],
+    ],
+    ids=["tableaux", "betti", "oracle", "gkm", "kato"],
 )
 def test_huge_cycle_length_exits_three(shape_file, capsys, command):
     # per-vertex tables of 10^15 entries exceed any address space, so the
-    # allocation fails at once instead of filling memory
-    path = shape_file({"n": 10**15, "rows": []})
-    rc = main([command[0], "--shape", path] + command[1:])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert err == "error: out of memory\n"
+    # allocation fails at once instead of filling memory; from 2^63 on the
+    # table size does not even fit an index
+    for n in (10**15, 2**63, 10**30):
+        path = shape_file({"n": n, "rows": [{"socle": 1, "len": 2}]})
+        rc = main([command[0], "--shape", path] + command[1:])
+        captured = capsys.readouterr()
+        assert rc == 3, n
+        assert captured.err == "error: out of memory\n", n
+        assert captured.out == "", n
 
 
 def test_kato_on_a_long_cycle_with_one_box(shape_file, capsys):
@@ -508,9 +521,16 @@ _KATO_FUZZ_ROW = st.fixed_dictionaries(
 def _kato_fuzz_shape(draw):
     """A shape object, valid or with one fault: a bad or missing `n` or
     `rows`, a row that is not an object, or a bad or missing row field.
-    n stays at most 10^4, since the fold keeps one n-tuple per state."""
+    n is small, up to 10^6 (per-vertex tables of that size are cheap), or
+    2^63 and beyond, where no per-vertex table can be indexed and the run
+    exits 3.  n from 10^7 to 10^12 is left out: there a per-vertex table
+    really is allocated, gigabytes of it, instead of failing at once."""
     shape = {
-        "n": draw(st.one_of(st.integers(1, 4), st.integers(5, 10**4))),
+        "n": draw(
+            st.one_of(
+                st.integers(1, 4), st.integers(5, 10**6), st.integers(2**63, 10**30)
+            )
+        ),
         "rows": draw(st.lists(_KATO_FUZZ_ROW, max_size=4)),
     }
     bad = st.one_of(_KATO_FUZZ_JUNK, st.integers(-2, 0))
@@ -641,3 +661,161 @@ def test_filtration_word_fuzz(case):
     if results["tableaux"][0] == 0:
         tab = json.loads(results["tableaux"][1])
         assert tab["count"] == json.loads(results["betti"][1])["count"]
+
+
+# main() reuses one parser for the whole process; these calls check that
+# nothing of one call's arguments reaches the next
+
+
+@pytest.fixture
+def cold_parser():
+    # main() builds its parser anew on the next call, and this test's
+    # parser does not outlive it
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _capture(argv):
+    """(exit code, stdout, stderr) of one in-process main() call; --help
+    ends in SystemExit, recorded by its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = f"SystemExit({exc.code})"
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of `python -m qfv.cli` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfv.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_builds_the_parser_once(shape_file, monkeypatch, cold_parser):
+    builds = []
+    original = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    path = shape_file(S21)
+    calls = [
+        ["kato", "--shape", path],
+        ["betti", "--shape", path, "--filtration", "1,1,1"],
+        ["nonsense"],
+        ["kato", "--shape", path, "--format", "json"],
+    ]
+    assert [_capture(argv)[0] for argv in calls] == [0, 0, 1, 0]
+    assert len(builds) == 1
+
+
+def test_force_does_not_carry_over(shape_file, capsys, cold_parser):
+    path = shape_file(BIG_ROW)
+    assert main(["kato", "--shape", path, "--force"]) == 0
+    capsys.readouterr()
+    assert main(["kato", "--shape", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--force" in captured.err
+
+
+def test_out_does_not_carry_over(shape_file, tmp_path, capsys, cold_parser):
+    path = shape_file(P1)
+    target = tmp_path / "result.txt"
+    argv = ["betti", "--shape", path, "--filtration", "1,1"]
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    target.unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "count: 2\npoincare: 1 + q\n"
+    assert not target.exists()
+
+
+def test_format_does_not_carry_over(shape_file, capsys, cold_parser):
+    argv = ["kato", "--shape", shape_file(S21)]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["orbit_dim"] == 4
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "gdim: t^4 + t^5 + t^6\norbit_dim: 4\n"
+
+
+@pytest.mark.parametrize(
+    "usage_error",
+    [["nonsense"], ["kato"], ["betti", "--shape"]],
+    ids=["unknown_command", "missing_shape", "shape_without_value"],
+)
+def test_usage_error_then_valid_call_match_fresh_processes(
+    shape_file, usage_error, cold_parser
+):
+    valid = ["betti", "--shape", shape_file(S21), "--filtration", "1,1,1"]
+    first, second = _capture(usage_error), _capture(valid)
+    assert first[0] == 1
+    assert second[0] == 0
+    assert first == _fresh_process(usage_error)
+    assert second == _fresh_process(valid)
+
+
+def test_reused_parser_matches_a_fresh_parser(
+    shape_file, tmp_path, monkeypatch, cold_parser
+):
+    # one process, one parser, every subcommand and every way out of
+    # parse_args; each call must equal a call through a parser of its own
+    p1 = shape_file(P1, "p1.json")
+    s21 = shape_file(S21, "s21.json")
+    big = shape_file(BIG_ROW, "big.json")
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps(["x1*x2", "x1*x2"]))
+    out = tmp_path / "out.txt"
+    calls = [
+        ["tableaux", "--shape", s21, "--filtration", "1,1,1"],
+        ["tableaux", "--shape", s21, "--filtration", "1,1,1", "--format", "json",
+         "--out", str(out)],
+        ["betti", "--shape", s21, "--filtration", "1,1,1", "--format", "json"],
+        ["betti", "--shape", s21, "--filtration", "1,1"],
+        ["betti", "--shape", s21, "--filtration", "1,1,1", "--bogus"],
+        ["oracle", "--shape", p1, "--filtration", "1,1", "--primes", "2"],
+        ["oracle", "--shape", s21, "--filtration", "1,1,1", "--format", "json"],
+        ["oracle", "--shape", p1, "--filtration", "1,1", "--primes", "4"],
+        ["oracle", "--shape", p1, "--filtration", "1,1"],
+        ["gkm", "--shape", p1, "--filtration", "1,1", "--format", "dot"],
+        ["gkm", "--shape", p1, "--filtration", "1,1", "--check", str(check)],
+        ["gkm", "--shape", p1, "--filtration", "1,1", "--format", "xml"],
+        ["gkm", "--shape", p1, "--filtration", "1,1"],
+        ["kato", "--shape", big, "--force"],
+        ["kato", "--shape", big],
+        ["kato", "--shape", s21, "--format", "json"],
+        ["kato", "--shape", s21],
+        ["kato"],
+        ["kato", "--shape"],
+        ["nonsense"],
+        [],
+        ["--help"],
+        ["gkm", "--help"],
+        ["kato", "--shape", s21],
+    ]
+
+    def run(argv):
+        result = _capture(argv)
+        written = out.read_text() if out.exists() else None
+        if written is not None:
+            out.unlink()
+        return result, written
+
+    reused = [run(argv) for argv in calls]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(argv) for argv in calls]
+    for argv, got, want in zip(calls, reused, fresh):
+        assert got == want, argv
+    codes = [rc for (rc, _, _), _ in fresh]
+    assert set(codes) == {0, 1, 2, 3, 4, "SystemExit(0)"}

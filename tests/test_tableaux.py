@@ -217,6 +217,22 @@ def test_tableau_from_json_respects_file_row_order():
     assert t.filling == ((3,), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "filling",
+    [5, None, "12", {"a": 1}, [5], [[1], None], [[1], "2"], [(1,), [2]]],
+    ids=[
+        "int", "null", "string", "object", "int_row", "null_row", "string_row", "tuple_row"
+    ],
+)
+def test_tableau_from_json_rejects_non_list_fillings(filling):
+    # a filling read from JSON is a list of lists; anything else is a
+    # ValueError with one message, never a TypeError from the constructor
+    data = {"n": 1, "rows": [{"socle": 1, "len": 1}, {"socle": 1, "len": 1}]}
+    data["filling"] = filling
+    with pytest.raises(ValueError, match="filling must be a list of lists"):
+        RowMultiTableau.from_json(data)
+
+
 def _reference_d_tau(shape, filling, k, geometric):
     """Free directions of entry k read straight off the definition in
     `RowMultiTableau.d_tau`, from the filling and the shape alone."""

@@ -120,20 +120,6 @@ def _require_compatible(shape: Shape, word) -> None:
         )
 
 
-def _check_threads_env() -> None:
-    # the oracle runs its primes one after another; QFV_THREADS is still
-    # validated so that scripts setting it keep their exit codes
-    env = os.environ.get("QFV_THREADS")
-    if env is None:
-        return
-    try:
-        cap = int(env)
-    except ValueError as exc:
-        raise CliError(EXIT_MALFORMED, "QFV_THREADS must be an integer") from exc
-    if cap < 1:
-        raise CliError(EXIT_MALFORMED, "QFV_THREADS must be at least 1")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -245,7 +231,6 @@ def cmd_oracle(args) -> int:
         (t.filling, t.cell_dim())
         for t in tableaux.enumerate_tableaux(shape, word)
     ]
-    _check_threads_env()
     reports = [_oracle_one(shape, word, p, poly, expected_cells) for p in primes]
     if args.format == "json":
         _emit(json.dumps(reports, indent=2) + "\n", args.out)

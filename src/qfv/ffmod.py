@@ -3,8 +3,9 @@
 This is the brute-force side of the project: build the standard module
 of a shape with one basis vector per box, enumerate complete flags of
 submodules line by line (each step picks a line inside the socle at the
-step's vertex and passes to the quotient), count them, and classify each
-flag into a cell by reading off pivot coordinates.  Neither walks flag
+step's vertex and a pivot coordinate where it is nonzero, and passes to
+the quotient by dropping that coordinate), count them, and classify each
+flag into a cell by reading off the pivot boxes.  Neither walks flag
 by flag: `count_flags` memoizes its count on each exact quotient and on
 its isomorphism class, found by rank arithmetic (`iso_class`), and
 `classify_flags` memoizes its per-cell counts on each exact quotient.
@@ -14,7 +15,7 @@ two routes must be comparable, not entangled.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .cyclic_core import Box, Row, Shape, normalize_vertex, validate_word
 from .linalg import (
@@ -73,7 +74,7 @@ class NilModule:
     @classmethod
     def _from_trusted(cls, n, p, dims, mats, tags, shape) -> "NilModule":
         """A module from already checked data: tuples of the right sizes,
-        entries reduced mod p, nilpotent.  `quotient` builds through here,
+        entries reduced mod p, nilpotent.  Quotients build through here,
         since a quotient of a nilpotent module is nilpotent."""
         m = cls.__new__(cls)
         m.n, m.p, m.dims, m.mats, m.tags, m.shape = n, p, dims, mats, tags, shape
@@ -263,15 +264,35 @@ def _line_reps(basis: Sequence[Sequence[int]], p: int) -> Iterator[list[int]]:
             yield vec
 
 
-def _line_subspace(m: NilModule, v: int, vec: Sequence[int]) -> GradedSubspace:
-    vectors: list[list[Sequence[int]]] = [[] for _ in range(m.n)]
-    vectors[v] = [vec]
-    return GradedSubspace.from_vectors(m.p, vectors)
+def _drop_line(m: NilModule, v: int, vec: Sequence[int], j: int) -> NilModule:
+    """`quotient(m, line)[0]` for the line through `vec` at vertex v with
+    pivot j (vec[j] != 0), unchecked: the line must lie in the socle.  The
+    arrow into v is row-reduced by the line scaled to 1 at j and loses row
+    j, the arrow out of v loses column j (one matrix when n = 1), and
+    coordinate j leaves `dims` and `tags`."""
+    p = m.p
+    inv = pow(vec[j], p - 2, p)
+    line = [(x * inv) % p for x in vec]
+    mats = list(m.mats)
+    into = mats[v - 1]  # the arrow into v; index -1 wraps round the cycle
+    pivot_row = into[j]
+    mats[v - 1] = tuple(
+        tuple((a - c * b) % p for a, b in zip(row, pivot_row)) if c else row
+        for r, (row, c) in enumerate(zip(into, line))
+        if r != j
+    )
+    mats[v] = tuple(row[:j] + row[j + 1 :] for row in mats[v])
+    dims = m.dims[:v] + (m.dims[v] - 1,) + m.dims[v + 1 :]
+    tags = m.tags
+    if tags is not None:
+        tags = tags[:v] + (tags[v][:j] + tags[v][j + 1 :],) + tags[v + 1 :]
+    return NilModule._from_trusted(m.n, p, dims, tuple(mats), tags, m.shape)
 
 
-def count_flags(m: NilModule, f: Sequence[int], p: int | None = None) -> int:
+def count_flags(m: NilModule, f: Sequence[int]) -> int:
     """Number of complete flags of submodules along the word: lines in
-    the socle at the step's vertex, then recurse on the quotient.
+    the socle at the step's vertex, then recurse on the quotient that
+    drops the line's first nonzero coordinate.
 
     The number of flags below a step depends only on the isomorphism
     class of the quotient and the rest of the word, so the recursion is
@@ -284,8 +305,6 @@ def count_flags(m: NilModule, f: Sequence[int], p: int | None = None) -> int:
     quotients alone, and never calls `iso_class`; its counts sum to this
     one.
     """
-    if p is not None and p != m.p:
-        raise ValueError(f"module lives over F_{m.p}, not F_{p}")
     word = validate_word(f, m.n)
     return _count_rec(m, word, {})
 
@@ -304,24 +323,15 @@ def _count_rec(m: NilModule, word: tuple[int, ...], memo: dict) -> int:
         v = word[0] - 1
         basis, _ = kernel_mod(m.mats[v], m.dims[v], m.p)
         count = memo[key] = sum(
-            _count_rec(quotient(m, _line_subspace(m, v, vec))[0], word[1:], memo)
+            _count_rec(
+                _drop_line(m, v, vec, next(j for j, x in enumerate(vec) if x)),
+                word[1:],
+                memo,
+            )
             for vec in _line_reps(basis, m.p)
         )
     memo[exact] = count
     return count
-
-
-def _line_with_pivot(
-    m: NilModule, v: int, vec: Sequence[int], pivot: int
-) -> GradedSubspace:
-    """The line through `vec` at vertex v, scaled to 1 at coordinate
-    `pivot`, so that the quotient by it drops that coordinate."""
-    inv = pow(vec[pivot], m.p - 2, m.p)
-    basis: list[list[list[int]]] = [[] for _ in range(m.n)]
-    pivots: list[list[int]] = [[] for _ in range(m.n)]
-    basis[v] = [[(x * inv) % m.p for x in vec]]
-    pivots[v] = [pivot]
-    return GradedSubspace(m.p, basis, pivots)
 
 
 def _shortest_row_order(m: NilModule, v: int) -> list[int]:
@@ -424,7 +434,7 @@ def _classify_rec(
         box = cur.tags[v][j]
         if want is not None and want.get(entry) != box:
             continue
-        qm, _ = quotient(cur, _line_with_pivot(cur, v, vec, j))
+        qm = _drop_line(cur, v, vec, j)
         for partial, count in _classify_rec(qm, rest[1:], shortest, want, memo).items():
             full = ((box, entry),) + partial
             out[full] = out.get(full, 0) + count
@@ -501,7 +511,7 @@ def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
             raise ValueError(f"stage {k} is not arrow-stable")
         pivot = next(j for j, x in enumerate(vec) if x)
         entry_at[cur.tags[v][pivot]] = r + 1 - k
-        cur, pr = quotient(cur, _line_subspace(cur, v, vec))
+        cur, pr = quotient(cur, pushed)
         projections.append((v, pr))
     filling = tuple(
         tuple(entry_at[Box(i, pos)] for pos in range(1, row.length + 1))

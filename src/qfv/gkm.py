@@ -109,9 +109,12 @@ def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
 
 
 def torus_symbols(t: int):
-    """x1..xt as sympy symbols."""
-    import sympy
-
+    """x1..xt as sympy symbols; sympy comes only with the `test` extra."""
+    try:
+        import sympy
+    except ImportError as exc:
+        msg = "torus_symbols needs sympy, from the test extra: qfv[test]"
+        raise ImportError(msg) from exc
     return sympy.symbols(f"x1:{t + 1}")
 
 

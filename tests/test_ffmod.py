@@ -6,7 +6,9 @@ deliberately NOT taken from the counting recursions, so the two routes
 stay independent checks of one another.  Both `count_flags` (memoized on
 isomorphism classes of quotients) and `classify_flags` (memoized on exact
 quotients) are checked on the small grid against `walk_cells`, an
-unmemoized walk over every flag built here from `ffmod` primitives.
+unmemoized walk over every flag that steps through the public `quotient`
+by line subspaces built here, never through the private `_drop_line`
+that both memoized routes step with.
 """
 from itertools import permutations
 
@@ -32,12 +34,7 @@ from qfv import (
 )
 from qfv import ffmod
 from qfv.betti import f_graded
-from qfv.ffmod import (
-    _line_reps,
-    _line_subspace,
-    _line_with_pivot,
-    _shortest_row_order,
-)
+from qfv.ffmod import _drop_line, _line_reps, _shortest_row_order
 from qfv.linalg import kernel_mod
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
 
@@ -234,23 +231,42 @@ def small_grid():
                 yield shape, word
 
 
+def line_with_pivot(m, v, vec, j):
+    """The line through `vec` at vertex v as a graded subspace, scaled to 1
+    at coordinate j, so that `quotient` by it drops that coordinate."""
+    inv = pow(vec[j], m.p - 2, m.p)
+    basis = [[] for _ in range(m.n)]
+    pivots = [[] for _ in range(m.n)]
+    basis[v] = [[(x * inv) % m.p for x in vec]]
+    pivots[v] = [j]
+    return GradedSubspace(m.p, basis, pivots)
+
+
 def test_quotients_pass_the_public_constructor():
-    # quotient skips the nilpotency check (a quotient of a nilpotent module
-    # is nilpotent); every quotient the enumeration reaches must pass it
+    # _drop_line skips the stability check and the nilpotency check (a
+    # quotient of a nilpotent module is nilpotent); at every nonzero pivot
+    # of every line the enumeration reaches, it must give what `quotient`
+    # gives and pass the public constructor
     def walk(m, word):
         if not word:
             return 0
         v = word[0] - 1
         basis, _ = kernel_mod(m.mats[v], m.dims[v], m.p)
-        reached = 0
+        steps = 0
         for vec in _line_reps(basis, m.p):
-            qm, _ = quotient(m, _line_subspace(m, v, vec))
-            again = NilModule(qm.n, qm.p, qm.dims, qm.mats, qm.tags, qm.shape)
-            assert (again.dims, again.mats, again.tags) == (qm.dims, qm.mats, qm.tags)
-            reached += 1 + walk(qm, word[1:])
-        return reached
+            pivots = [j for j, x in enumerate(vec) if x]
+            for j in pivots:
+                qm = _drop_line(m, v, vec, j)
+                ref, _ = quotient(m, line_with_pivot(m, v, vec, j))
+                assert (qm.dims, qm.mats, qm.tags) == (ref.dims, ref.mats, ref.tags)
+                again = NilModule(qm.n, qm.p, qm.dims, qm.mats, qm.tags, qm.shape)
+                assert (again.dims, again.mats, again.tags) == (qm.dims, qm.mats, qm.tags)
+                steps += 1
+            # walk on below the first pivot, as `count_flags` does
+            steps += walk(_drop_line(m, v, vec, pivots[0]), word[1:])
+        return steps
 
-    assert sum(walk(build_module(s, 2), w) for s, w in small_grid()) > 10_000
+    assert sum(walk(build_module(s, 2), w) for s, w in small_grid()) == 13_647
 
 
 def walk_cells(m, word, pivot):
@@ -278,7 +294,7 @@ def walk_cells(m, word, pivot):
             j = next(j for j in order if vec[j])
             box = cur.tags[v][j]
             entry_at[box] = len(rest)
-            rec(quotient(cur, _line_with_pivot(cur, v, vec, j))[0], rest[1:])
+            rec(quotient(cur, line_with_pivot(cur, v, vec, j))[0], rest[1:])
             del entry_at[box]
 
     rec(m, tuple(word))

@@ -1,6 +1,7 @@
 """Fixed-point graph construction, segment-exchange edges, membership
 checking against edge linear forms, and DOT export."""
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -230,6 +231,12 @@ def test_torus_symbols_are_sympy_variables():
     assert len(x) == 3
     assert all(isinstance(s, sympy.Symbol) for s in x)
     assert str(x[0]) == "x1"
+
+
+def test_torus_symbols_without_sympy_names_the_test_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    with pytest.raises(ImportError, match=r"qfv\[test\]"):
+        torus_symbols(2)
 
 
 def _reference_failures(g, texts):

@@ -96,19 +96,26 @@ def _parse_filtration(arg: str, n: int) -> tuple[int, ...]:
 
 
 def _parse_primes(arg: str) -> tuple[int, ...]:
+    """Comma/space separated primes, each plain ASCII digits and given
+    once: `int` alone would also read `1_1` as 11 and `٣` as 3."""
+    tokens = arg.replace(",", " ").split()
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise CliError(EXIT_MALFORMED, f"cannot parse primes {arg!r}")
     try:
-        primes = tuple(int(tok) for tok in arg.replace(",", " ").split())
-    except ValueError as exc:
+        primes = [int(tok) for tok in tokens]
+    except ValueError as exc:  # past Python's int-string limit
         raise CliError(EXIT_MALFORMED, f"cannot parse primes {arg!r}") from exc
     if not primes:
         raise CliError(EXIT_MALFORMED, "no primes given")
-    for p in primes:
+    for i, p in enumerate(primes):
         if p not in ffmod.SUPPORTED_PRIMES:
             raise CliError(
                 EXIT_MALFORMED,
                 f"prime {p} unsupported, choose from {ffmod.SUPPORTED_PRIMES}",
             )
-    return primes
+        if p in primes[:i]:
+            raise CliError(EXIT_MALFORMED, f"prime {p} given twice")
+    return tuple(primes)
 
 
 def _require_compatible(shape: Shape, word) -> None:

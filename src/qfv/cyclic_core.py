@@ -8,7 +8,6 @@ of vertices, one per box, read off a complete chain of submodules.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -19,9 +18,11 @@ def normalize_vertex(v: int, n: int) -> int:
     return (v - 1) % n + 1
 
 
-@dataclass(frozen=True)
-class Row:
-    """A row of `length` boxes ending at vertex `socle`."""
+class Row(NamedTuple):
+    """A row of `length` boxes ending at vertex `socle`.
+
+    A named tuple, so hashing and comparing rows (the recursion memo keys
+    are tuples of rows) runs at C speed."""
 
     socle: int
     length: int

@@ -100,6 +100,19 @@ class RowMultiTableau:
         self._label = label_of
         self._right = right_of
 
+    @classmethod
+    def _from_tables(cls, shape, filling, row_of, pos_of, label_of, right_of):
+        """Trusted builder for fillings valid by construction, with their
+        per-entry tables already filled: no check is made."""
+        t = object.__new__(cls)
+        t.shape = shape
+        t.filling = filling
+        t._row = row_of
+        t._pos = pos_of
+        t._label = label_of
+        t._right = right_of
+        return t
+
     @property
     def size(self) -> int:
         return len(self._row) - 1
@@ -163,11 +176,31 @@ class RowMultiTableau:
 
     def cell_dim(self, statistic: str = "pinned") -> int:
         """Dimension of the cell: the sum of `d_tau` over all entries,
-        under the pinned (default) or the geometric statistic."""
+        under the pinned (default) or the geometric statistic.
+
+        One pass over k = 1..r keeps, per column label, the entries seen
+        so far; only those can count for k, so the cost is the sum of the
+        squared label class sizes rather than r^2."""
         geometric = validate_statistic(statistic) == "geometric"
+        label, right, row, pos = self._label, self._right, self._row, self._pos
+        seen: dict[int, list[int]] = {}
         total = 0
-        for k in range(1, self.size + 1):
-            total += self._free_directions(k, geometric)
+        for k in range(1, len(label)):
+            same = seen.setdefault(label[k], [])
+            row_k = row[k]
+            # the same tests as `_free_directions`, over k's label class
+            if geometric:
+                pos_k = pos[k]
+                for s in same:
+                    if right[s] > k and (
+                        pos[s] > pos_k or (pos[s] == pos_k and row[s] > row_k)
+                    ):
+                        total += 1
+            else:
+                for s in same:
+                    if right[s] > k and row[s] > row_k:
+                        total += 1
+            same.append(k)
         return total
 
     def dim_filtration(self) -> tuple[int, ...]:
@@ -228,7 +261,8 @@ class RowMultiTableau:
 
 
 def _placement_dfs(shape: Shape, force_word=None):
-    """Yield (word, filling) for every completable placement sequence.
+    """Yield (word, filling, tables) for every completable placement
+    sequence.
 
     Entries are placed r, r-1, ..., 1; at each step any row with an
     unfilled box may receive the entry in its rightmost unfilled box.
@@ -236,38 +270,57 @@ def _placement_dfs(shape: Shape, force_word=None):
     required label are tried.  Rows are tried top to bottom, which makes
     the output order lexicographic in placement choices.  The search
     keeps its own stack, so long rows do not hit the recursion limit.
+
+    `tables` holds copies of the per-entry tables of `RowMultiTableau`
+    (row, position, column label, right neighbour), written as each
+    entry is placed: its right neighbour, being larger, is already in.
     """
     rows = shape.rows
+    nrows = len(rows)
     labels = [row.labels(shape.n) for row in rows]
+    lengths = [row.length for row in rows]
     r = shape.size
-    filled = [0] * len(rows)  # boxes already filled, counted from the right
-    filling = [[0] * row.length for row in rows]
-    word: list[int] = []
+    free = lengths[:]  # each row's rightmost unfilled box, 0 when full
+    filling = [[0] * length for length in lengths]
+    row_of = [0] * (r + 1)
+    pos_of = [0] * (r + 1)
+    label_of = [0] * (r + 1)
+    right_of = [0] * (r + 1)
     chosen: list[int] = []  # the row that received each placed entry
+    k = 0  # entries placed; the next one is r - k
     i = 0  # next row to try for the entry of the current step
     while True:
-        k = len(chosen)
         if k == r:
-            yield tuple(word), tuple(tuple(row) for row in filling)
-            i = len(rows)  # nothing left to place: backtrack
+            # the word reads the labels of entries r, r-1, ..., 1
+            yield tuple(label_of[:0:-1]), tuple(map(tuple, filling)), (
+                row_of[:], pos_of[:], label_of[:], right_of[:]
+            )
+            i = nrows  # nothing left to place: backtrack
         want = force_word[k] if force_word is not None and k < r else None
-        while i < len(rows):
-            pos = rows[i].length - filled[i]  # rightmost unfilled, 1-based
+        while i < nrows:
+            pos = free[i]
             if pos and (want is None or labels[i][pos - 1] == want):
                 break
             i += 1
-        if i < len(rows):
-            filling[i][pos - 1] = r - k
-            filled[i] += 1
-            word.append(labels[i][pos - 1])
+        if i < nrows:
+            e = r - k
+            entries = filling[i]
+            entries[pos - 1] = e
+            row_of[e] = i + 1
+            pos_of[e] = pos
+            label_of[e] = labels[i][pos - 1]
+            right_of[e] = entries[pos] if pos < lengths[i] else r + 1
+            free[i] = pos - 1
             chosen.append(i)
+            k += 1
             i = 0
-        elif chosen:
+        elif k:
             # no row left for this step: take back the last entry and try
-            # the next row for it
+            # the next row for it; its table slots are rewritten when the
+            # entry is placed again
             i = chosen.pop()
-            filled[i] -= 1
-            word.pop()
+            free[i] += 1
+            k -= 1
             i += 1
         else:
             return
@@ -279,16 +332,17 @@ def enumerate_tableaux(
     """All fillings of `shape` inducing the filtration `word`.
 
     Incompatible words give an empty list.  Rows fill right to left as
-    entries descend, so every filling is valid by construction; the
-    constructor still checks it, in the same single pass over the
-    entries that fills the per-entry tables the statistics read.
+    entries descend, so every filling is valid by construction; each
+    tableau is built unchecked from the per-entry tables the placement
+    search writes as it goes.
     """
     word = validate_word(word, shape.n)
     if not is_compatible(shape, word):
         return []
+    build = RowMultiTableau._from_tables
     return [
-        RowMultiTableau(shape, filling)
-        for _, filling in _placement_dfs(shape, force_word=word)
+        build(shape, filling, *tables)
+        for _, filling, tables in _placement_dfs(shape, force_word=word)
     ]
 
 
@@ -299,11 +353,13 @@ def enumerate_by_filtration(
 
     One traversal of all placement sequences; considerably cheaper than
     calling enumerate_tableaux once per candidate word when sweeping a
-    whole shape.
+    whole shape.  As there, each tableau is built unchecked from the
+    tables of the search.
     """
+    build = RowMultiTableau._from_tables
     out: dict[tuple[int, ...], list[RowMultiTableau]] = {}
-    for word, filling in _placement_dfs(shape):
-        out.setdefault(word, []).append(RowMultiTableau(shape, filling))
+    for word, filling, tables in _placement_dfs(shape):
+        out.setdefault(word, []).append(build(shape, filling, *tables))
     return out
 
 

@@ -164,6 +164,63 @@ def test_oracle_rejects_unsupported_primes(shape_file, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "primes",
+    ["2,2", "3 2,3", "1_1", "\u0663", "2,\u0663", "+2", "2," + "0" * 5000 + "3"],
+    ids=["twice", "twice_apart", "underscore", "arabic_indic", "arabic_indic_2", "plus",
+         "past_int_limit"],
+)
+def test_oracle_rejects_repeated_or_non_ascii_primes(shape_file, capsys, primes):
+    # int() alone reads 1_1 as 11 and the Arabic-Indic digit three as 3
+    rc = main(
+        ["oracle", "--shape", shape_file(P1), "--filtration", "1,1", "--primes", primes]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_PRIMES_FUZZ = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="0123457,_ +-\u0663\u00b2", max_size=10),
+    st.lists(st.sampled_from(["2", "3", "5", "7", "02", "11"]), max_size=4).map(",".join),
+)
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(_PRIMES_FUZZ)
+def test_oracle_primes_fuzz(primes):
+    # any --primes string exits 0..4 without a traceback; it succeeds
+    # exactly when it lists distinct supported primes in ASCII digits
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shape.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(P1, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(
+                ["oracle", "--shape", path, "--filtration", "1,1", f"--primes={primes}"]
+            )
+    assert 0 <= rc <= 4
+    assert "Traceback" not in err.getvalue()
+    tokens = primes.replace(",", " ").split()
+    valid = (
+        tokens
+        and all(tok.isascii() and tok.isdigit() for tok in tokens)
+        and all(int(tok) in ffmod.SUPPORTED_PRIMES for tok in tokens)
+        and len({int(tok) for tok in tokens}) == len(tokens)
+    )
+    if valid:
+        assert rc == 0
+        lines = out.getvalue().splitlines()
+        reported = [line.split(":")[0] for line in lines if line.startswith("p=")]
+        assert reported == [f"p={int(tok)}" for tok in tokens]
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 def test_gkm_membership_check(shape_file, tmp_path, capsys):
     member = tmp_path / "member.json"
     member.write_text(json.dumps(["x1", "x2"]))
@@ -697,6 +754,27 @@ def _fresh_process(argv):
         capture_output=True, text=True, env=env, check=False,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_qfv_runs_the_cli(shape_file):
+    # `python -m qfv` needs no installed `qfv` script; importing the
+    # package does not run it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+        )
+
+    shown = run("-m", "qfv", "--help")
+    assert shown.returncode == 0, shown.stderr
+    assert "oracle" in shown.stdout
+    malformed = run("-m", "qfv", "kato", "--shape", shape_file({"n": 1}))
+    assert malformed.returncode == 1
+    assert malformed.stderr.startswith("error: ") and "Traceback" not in malformed.stderr
+    imported = run("-c", "import sys, qfv, qfv.cli; print('qfv.__main__' in sys.modules)")
+    assert imported.stdout == "False\n", imported.stderr
 
 
 def test_gkm_check_never_imports_sympy(shape_file, tmp_path):

@@ -54,6 +54,14 @@ def test_row_top_and_labels_agree():
         assert len(labels) == row.length
 
 
+def test_rows_hash_and_compare_by_their_fields():
+    assert Row(1, 2) == Row(1, 2)
+    assert hash(Row(1, 2)) == hash(Row(1, 2))
+    assert Row(1, 2) != Row(2, 1) and Row(1, 2) != Row(1, 3)
+    assert len({Row(1, 2), Row(1, 2), Row(2, 1), Row(1, 3)}) == 3
+    assert repr(Row(1, 2)) == "Row(socle=1, length=2)"
+
+
 def test_shape_sorts_rows_by_top_then_length_descending():
     shape = Shape(2, [Row(1, 1), Row(1, 3), Row(2, 1)])
     assert shape.rows == (Row(1, 3), Row(1, 1), Row(2, 1))

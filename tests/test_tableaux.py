@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    GRID_MAX_BOXES,
+    GRID_MAX_ROWS,
+    GRID_NS,
     REFERENCE_D_TAU,
     REFERENCE_DIM,
     REFERENCE_FILLING,
@@ -278,26 +281,89 @@ def _all_fillings(shape):
 
 
 def test_statistics_match_the_definition_on_the_small_grid():
+    # both the public constructor and the unchecked build of enumeration
+    # must give the statistics of the definition
     checked = 0
     for n in (1, 2, 3):
         for shape in all_shapes(n, 6, 4):
             fillings = list(_all_fillings(shape))
-            enumerated = enumerate_by_filtration(shape)
-            assert sorted(t.filling for ts in enumerated.values() for t in ts) == sorted(
-                fillings
-            )
+            enumerated = {
+                t.filling: t for ts in enumerate_by_filtration(shape).values() for t in ts
+            }
+            assert sorted(enumerated) == sorted(fillings)
             for filling in fillings:
-                t = RowMultiTableau(shape, filling)
+                built = (RowMultiTableau(shape, filling), enumerated[filling])
                 for statistic in ("pinned", "geometric"):
                     ref = [
                         _reference_d_tau(shape, filling, k, statistic == "geometric")
                         for k in range(1, shape.size + 1)
                     ]
-                    got = [t.d_tau(k, statistic) for k in range(1, shape.size + 1)]
-                    assert got == ref, (shape, filling, statistic)
-                    assert t.cell_dim(statistic) == sum(ref)
+                    for t in built:
+                        got = [t.d_tau(k, statistic) for k in range(1, shape.size + 1)]
+                        assert got == ref, (shape, filling, statistic)
+                        assert t.cell_dim(statistic) == sum(ref)
                 checked += 1
     assert checked > 10_000
+
+
+def _placements(shape):
+    """(word, filling) for every placement sequence, in enumeration order:
+    entries r, r-1, ..., 1, each into the rightmost free box of a row,
+    rows tried top to bottom.  A plain recursion, independent of the
+    search in `qfv.tableaux`."""
+    labels = [
+        [shape.label(Box(i, pos)) for pos in range(1, row.length + 1)]
+        for i, row in enumerate(shape.rows, start=1)
+    ]
+    filling = [[0] * row.length for row in shape.rows]
+    free = [row.length for row in shape.rows]
+    word = []
+
+    def rec(e):
+        if e == 0:
+            yield tuple(word), tuple(map(tuple, filling))
+            return
+        for i, pos in enumerate(free):
+            if pos:
+                filling[i][pos - 1] = e
+                free[i] -= 1
+                word.append(labels[i][pos - 1])
+                yield from rec(e - 1)
+                word.pop()
+                free[i] += 1
+
+    return rec(shape.size)
+
+
+def _tables(t):
+    return t._row, t._pos, t._label, t._right
+
+
+def test_enumerated_tableaux_equal_checked_ones_on_the_grid():
+    # enumeration builds its tableaux unchecked from the tables of the
+    # search; each must equal the public constructor's, and the order of
+    # the fillings (the gkm node order) must be the placement order
+    produced = 0
+    for n in GRID_NS:
+        for shape in all_shapes(n, GRID_MAX_BOXES, GRID_MAX_ROWS):
+            expected: dict = {}
+            for word, filling in _placements(shape):
+                expected.setdefault(word, []).append(filling)
+            grouped = enumerate_by_filtration(shape)
+            assert list(grouped) == list(expected)
+            for word, fillings in expected.items():
+                by_word = enumerate_tableaux(shape, word)
+                assert [t.filling for t in grouped[word]] == fillings
+                assert [t.filling for t in by_word] == fillings
+                for filling, *ts in zip(fillings, grouped[word], by_word):
+                    checked = RowMultiTableau(shape, filling)
+                    for t in ts:
+                        assert _tables(t) == _tables(checked)
+                        assert t.filling == checked.filling
+                        assert t.size == checked.size == shape.size
+                        assert t.dim_filtration() == checked.dim_filtration() == word
+                produced += len(fillings)
+    assert produced == 97_990
 
 
 _FAULTS = (

@@ -83,28 +83,29 @@ def _parse_filtration(arg: str, n: int) -> tuple[int, ...]:
         if not isinstance(raw, list):
             raise CliError(EXIT_MALFORMED, "filtration word must be a list")
     else:
-        try:
-            raw = [int(tok) for tok in arg.replace(",", " ").split()]
-        except ValueError as exc:
-            raise CliError(
-                EXIT_MALFORMED, f"cannot parse filtration {arg!r}: {exc}"
-            ) from exc
+        raw = _parse_ints(arg, "filtration")
     try:
         return validate_word(raw, n)
     except ValueError as exc:
         raise CliError(EXIT_MALFORMED, f"bad filtration: {exc}") from exc
 
 
-def _parse_primes(arg: str) -> tuple[int, ...]:
-    """Comma/space separated primes, each plain ASCII digits and given
-    once: `int` alone would also read `1_1` as 11 and `٣` as 3."""
+def _parse_ints(arg: str, what: str) -> list[int]:
+    """Comma/space separated tokens, each plain ASCII digits: `int` alone
+    would also read `1_1` as 11, `+3` and `٣` as 3."""
     tokens = arg.replace(",", " ").split()
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-        raise CliError(EXIT_MALFORMED, f"cannot parse primes {arg!r}")
+        raise CliError(EXIT_MALFORMED, f"cannot parse {what} {arg!r}")
     try:
-        primes = [int(tok) for tok in tokens]
+        return [int(tok) for tok in tokens]
     except ValueError as exc:  # past Python's int-string limit
-        raise CliError(EXIT_MALFORMED, f"cannot parse primes {arg!r}") from exc
+        raise CliError(EXIT_MALFORMED, f"cannot parse {what} {arg!r}") from exc
+
+
+def _parse_primes(arg: str) -> tuple[int, ...]:
+    """Comma/space separated primes, each plain ASCII digits and given
+    once."""
+    primes = _parse_ints(arg, "primes")
     if not primes:
         raise CliError(EXIT_MALFORMED, "no primes given")
     for i, p in enumerate(primes):
@@ -185,9 +186,8 @@ def cmd_betti(args) -> int:
 
 
 def _oracle_one(shape: Shape, word, p: int, poly, expected_cells):
-    module = ffmod.build_module(shape, p)
-    count = ffmod.count_flags(module, word)
-    found_cells = ffmod.classify_flags(module, word)
+    found_cells = ffmod.classify_flags(ffmod.build_module(shape, p), word)
+    count = sum(found_cells.values())
     per_cell = []
     ok = count == poly.evaluate(p)
     for filling, dim in expected_cells:

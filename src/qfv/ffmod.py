@@ -6,8 +6,7 @@ submodules line by line (each step picks a line inside the socle at the
 step's vertex and a pivot coordinate where it is nonzero, and passes to
 the quotient by dropping that coordinate), count them, and classify each
 flag into a cell by reading off the pivot boxes.  Neither walks flag
-by flag: `count_flags` memoizes its count on each exact quotient and on
-its isomorphism class, found by rank arithmetic (`iso_class`), and
+by flag: `count_flags` memoizes its count on each exact quotient, and
 `classify_flags` memoizes its per-cell counts on each exact quotient.
 None of it consults the counting recursions, which is the point: the
 two routes must be comparable, not entangled.
@@ -74,8 +73,9 @@ class NilModule:
     @classmethod
     def _from_trusted(cls, n, p, dims, mats, tags, shape) -> "NilModule":
         """A module from already checked data: tuples of the right sizes,
-        entries reduced mod p, nilpotent.  Quotients build through here,
-        since a quotient of a nilpotent module is nilpotent."""
+        entries reduced mod p, nilpotent.  The standard module builds
+        through here, being 0/1 and nilpotent by construction, and so do
+        quotients, since a quotient of a nilpotent module is nilpotent."""
         m = cls.__new__(cls)
         m.n, m.p, m.dims, m.mats, m.tags, m.shape = n, p, dims, mats, tags, shape
         return m
@@ -138,9 +138,16 @@ def _standard_module(shape: Shape):
 
 
 def build_module(shape: Shape, p: int) -> NilModule:
-    """Standard module of a shape over F_p; the constructor checks p."""
+    """Standard module of a shape over F_p; only p is checked."""
     dims, mats, tags = _standard_module(shape)
-    return NilModule(shape.n, p, dims, mats, tags=tags, shape=shape)
+    return NilModule._from_trusted(
+        shape.n,
+        _check_prime(p),
+        dims,
+        tuple(tuple(map(tuple, mat)) for mat in mats),
+        tuple(map(tuple, tags)),
+        shape,
+    )
 
 
 class GradedSubspace:
@@ -294,16 +301,10 @@ def count_flags(m: NilModule, f: Sequence[int]) -> int:
     the socle at the step's vertex, then recurse on the quotient that
     drops the line's first nonzero coordinate.
 
-    The number of flags below a step depends only on the isomorphism
-    class of the quotient and the rest of the word, so the recursion is
-    memoized on (`iso_class(quotient).rows`, rest of word) in a dict that
-    lives for this call only.  The same dict also holds each count under
-    the exact quotient (`dims`, `mats`, rest of word), looked up first,
-    so a quotient met again skips `iso_class`.  `iso_class` works by rank
-    arithmetic and never consults the counting recursions.
-    `classify_flags` reaches the same flags through a memo on exact
-    quotients alone, and never calls `iso_class`; its counts sum to this
-    one.
+    The recursion is memoized on the exact quotient (`dims`, `mats`) and
+    the rest of the word, in a dict that lives for this call only.
+    `classify_flags` reaches the same flags through its own walk; its
+    counts sum to this one.
     """
     word = validate_word(f, m.n)
     return _count_rec(m, word, {})
@@ -312,12 +313,7 @@ def count_flags(m: NilModule, f: Sequence[int]) -> int:
 def _count_rec(m: NilModule, word: tuple[int, ...], memo: dict) -> int:
     if not word:
         return 1 if m.total_dim == 0 else 0
-    # exact keys have three parts, iso-class keys two, so they never meet
-    exact = (m.dims, m.mats, word)
-    count = memo.get(exact)
-    if count is not None:
-        return count
-    key = (iso_class(m).rows, word)
+    key = (m.dims, m.mats, word)
     count = memo.get(key)
     if count is None:
         v = word[0] - 1
@@ -330,7 +326,6 @@ def _count_rec(m: NilModule, word: tuple[int, ...], memo: dict) -> int:
             )
             for vec in _line_reps(basis, m.p)
         )
-    memo[exact] = count
     return count
 
 

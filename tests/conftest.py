@@ -51,6 +51,18 @@ def all_shapes(n, max_boxes, max_rows):
     return shapes
 
 
+def small_grid():
+    """(shape, word) for every shape with <= 4 boxes and <= 4 rows, n <= 3,
+    and every word with the shape's letter counts, flags or not."""
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 4, 4):
+            letters = [
+                v for v, d in enumerate(shape.dim_vector(), start=1) for _ in range(d)
+            ]
+            for word in sorted(set(itertools.permutations(letters))):
+                yield shape, word
+
+
 @pytest.fixture(scope="session")
 def grid_stats():
     """Per (shape, word): multiset of cell dimensions, from direct enumeration.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_grid
 from qfv import Shape, cli, ffmod
 from qfv.cli import main
 
@@ -97,6 +98,27 @@ def test_filtration_from_file(shape_file, tmp_path, capsys):
     assert "count: 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["tableaux", "betti"])
+@pytest.mark.parametrize(
+    "token, ascii_token, n",
+    [("1_1", "11", 11), ("\u0663", "3", 3), ("+1", "1", 1), ("\u00b2", "2", 2)],
+    ids=["underscore", "arabic_indic", "plus", "superscript"],
+)
+def test_inline_filtration_takes_ascii_digits_only(
+    shape_file, capsys, command, token, ascii_token, n
+):
+    # one box at the vertex the token would name: the ASCII spelling lists
+    # its one cell, the other spelling exits 1 with one error line
+    path = shape_file({"n": n, "rows": [{"socle": int(ascii_token), "len": 1}]})
+    assert main([command, "--shape", path, "--filtration", ascii_token]) == 0
+    capsys.readouterr()
+    rc = main([command, "--shape", path, "--filtration", token])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_oracle_match_exits_zero(shape_file, capsys):
     rc = main(
         ["oracle", "--shape", shape_file(P1), "--filtration", "1,1", "--primes", "2,3"]
@@ -138,6 +160,25 @@ def test_oracle_json_reports_per_cell(shape_file, capsys):
     assert reports[0]["match"] is True
     cells = {tuple(map(tuple, c["tableau"])): c for c in reports[0]["per_cell"]}
     assert cells[((2,), (1,))]["expected"] == 2
+
+
+def test_oracle_count_is_the_flag_count_on_the_small_grid(shape_file, capsys):
+    # the oracle's count is the sum of its classes; count_flags walks the
+    # flags separately and must give the same total
+    paths = {}
+    for shape, word in small_grid():
+        key = (shape.n, shape.rows)
+        if key not in paths:
+            paths[key] = shape_file(shape.to_json(), name=f"shape{len(paths)}.json")
+        argv = ["oracle", "--shape", paths[key], "--format", "json",
+                "--filtration", ",".join(map(str, word))]
+        assert main(argv) in (0, 4)
+        reports = json.loads(capsys.readouterr().out)
+        assert [rep["p"] for rep in reports] == [2, 3]
+        for rep in reports:
+            flags = ffmod.count_flags(ffmod.build_module(shape, rep["p"]), word)
+            assert rep["count"] == flags, (shape, word, rep["p"])
+            assert sum(cell["found"] for cell in rep["per_cell"]) == flags
 
 
 def test_oracle_guard_on_huge_enumerations(shape_file, capsys):

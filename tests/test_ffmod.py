@@ -3,18 +3,21 @@ quotients, brute-force flag enumeration, and cell classification.
 
 The flag counts pinned here come from direct enumeration only; they are
 deliberately NOT taken from the counting recursions, so the two routes
-stay independent checks of one another.  Both `count_flags` (memoized on
-isomorphism classes of quotients) and `classify_flags` (memoized on exact
-quotients) are checked on the small grid against `walk_cells`, an
-unmemoized walk over every flag that steps through the public `quotient`
-by line subspaces built here, never through the private `_drop_line`
-that both memoized routes step with.
+stay independent checks of one another.  Both `count_flags` and
+`classify_flags` (each memoized on exact quotients) are checked on the
+small grid against `walk_cells`, an unmemoized walk over every flag that
+steps through the public `quotient` by line subspaces built here, never
+through the private `_drop_line` that both memoized routes step with.
 """
-from itertools import permutations
-
 import pytest
 
-from conftest import REFERENCE_FILLING, REFERENCE_ROWS, REFERENCE_WORD, all_shapes
+from conftest import (
+    REFERENCE_FILLING,
+    REFERENCE_ROWS,
+    REFERENCE_WORD,
+    all_shapes,
+    small_grid,
+)
 from qfv import (
     Box,
     GradedSubspace,
@@ -34,7 +37,7 @@ from qfv import (
 )
 from qfv import ffmod
 from qfv.betti import f_graded
-from qfv.ffmod import _drop_line, _line_reps, _shortest_row_order
+from qfv.ffmod import _drop_line, _line_reps, _shortest_row_order, _standard_module
 from qfv.linalg import kernel_mod
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
 
@@ -76,6 +79,20 @@ def test_build_module_rejects_unsupported_primes():
     with pytest.raises(ValueError):
         build_module(p1_shape(), 4)
     assert set(SUPPORTED_PRIMES) == {2, 3, 5, 7}
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_build_module_matches_the_public_constructor(p):
+    # build_module skips the constructor's checks; the standard module
+    # must pass them and come out the same
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 4, 4):
+            m = build_module(shape, p)
+            dims, mats, tags = _standard_module(shape)
+            ref = NilModule(n, p, dims, mats, tags=tags, shape=shape)
+            assert (m.n, m.p, m.dims, m.mats, m.tags, m.shape) == (
+                ref.n, ref.p, ref.dims, ref.mats, ref.tags, ref.shape
+            )
 
 
 def test_nilmodule_rejects_non_nilpotent_loops():
@@ -167,27 +184,23 @@ def test_count_flags_full_flag_unit_rows():
     assert count_flags(m, (1, 1, 1)) == 21
 
 
-def test_count_flags_ranks_each_exact_quotient_once(monkeypatch):
-    # the rest of the word is fixed by the quotient's dimension, so a
-    # second iso_class call on the same dims and matrices would be a
-    # memo hit paying the rank arithmetic again
+def test_count_flags_never_calls_iso_class(monkeypatch):
+    # the memo is keyed on exact quotients alone, so no step pays for
+    # rank arithmetic
     seen = []
     real = ffmod.iso_class
 
     def spy(m):
-        seen.append((m.dims, m.mats))
+        seen.append(m)
         return real(m)
 
     monkeypatch.setattr(ffmod, "iso_class", spy)
     shape = Shape(1, [Row(1, 2), Row(1, 1), Row(1, 1)])
     for p, flags in ((2, 51), (3, 136)):
-        seen.clear()
         assert count_flags(build_module(shape, p), (1, 1, 1, 1)) == flags
-        assert len(seen) == len(set(seen)) > 1
-    seen.clear()
     m = build_module(Shape(3, REFERENCE_ROWS), 2)
     assert count_flags(m, REFERENCE_WORD) == 202419
-    assert len(seen) == len(set(seen))
+    assert seen == []
 
 
 def test_count_flags_mixed_lengths():
@@ -217,18 +230,6 @@ def test_classify_flags_partitions_the_count():
 def test_classify_flags_two_points_matches_cell_sizes():
     m = build_module(p1_shape(), 2)
     assert classify_flags(m, (1, 1)) == {((2,), (1,)): 2, ((1,), (2,)): 1}
-
-
-def small_grid():
-    """(shape, word) for every shape with <= 4 boxes and <= 4 rows, n <= 3,
-    and every word with the shape's letter counts, flags or not."""
-    for n in (1, 2, 3):
-        for shape in all_shapes(n, 4, 4):
-            letters = [
-                v for v, d in enumerate(shape.dim_vector(), start=1) for _ in range(d)
-            ]
-            for word in sorted(set(permutations(letters))):
-                yield shape, word
 
 
 def line_with_pivot(m, v, vec, j):
@@ -304,7 +305,7 @@ def walk_cells(m, word, pivot):
 @pytest.mark.parametrize("pivot", ["first", "shortest"])
 @pytest.mark.parametrize("p", [2, 3])
 def test_memoized_classification_matches_flag_walk(p, pivot):
-    # three routes: the exact-quotient memo, the iso-class memo, no memo
+    # two memoized routes, each keyed on exact quotients, against no memo
     for shape, word in small_grid():
         m = build_module(shape, p)
         walked = walk_cells(m, word, pivot)

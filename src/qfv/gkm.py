@@ -39,31 +39,52 @@ class GkmGraph:
         self.edges = tuple(edges)
 
 
-def _strictly_increasing(seq: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(seq, seq[1:]))
-
-
-def _swaps(filling: tuple[tuple[int, ...], ...], labels: list[tuple[int, ...]]):
+def _swaps(
+    filling: tuple[tuple[int, ...], ...],
+    labels: list[tuple[int, ...]],
+    lower_end: bool = False,
+):
     """Yield (swapped filling, (p, q), entries) for each aligned exchange.
 
     The plain-tuple core of `admissible_swaps`, which states the rule;
-    `labels` holds each row's column labels.
+    `labels` holds each row's column labels, and `entries` is each
+    window's last entry, its largest.  Both rows increase strictly, so
+    an exchanged row increases strictly exactly when each window's ends
+    fit their new neighbours: windows at i in row p and j in row q give
+    rp[i-1] < rq[j] and rq[j-1] < rp[i] on the left, which do not
+    depend on the width w, and rq[j+w-1] < rp[i+w] and
+    rp[i+w-1] < rq[j+w] on the right.  So each row pair collects its
+    aligned starts that pass the left tests once and tries only those
+    for every w, which is O(1) per candidate; the order is row pair, w,
+    i, j.  With `lower_end`, only exchanges whose row-p window holds the
+    larger entry are yielded: among all fillings of a word, in the order
+    of `enumerate_tableaux`, that is the end with the smaller index.
     """
     for p, q in combinations(range(len(filling)), 2):
         rp, rq = filling[p], filling[q]
-        for w in range(1, min(len(rp), len(rq)) + 1):
-            for i in range(len(rp) - w + 1):
-                for j in range(len(rq) - w + 1):
-                    if labels[p][i] != labels[q][j]:
-                        continue
-                    new_p = rp[:i] + rq[j : j + w] + rp[i + w :]
-                    new_q = rq[:j] + rp[i : i + w] + rq[j + w :]
-                    if _strictly_increasing(new_p) and _strictly_increasing(new_q):
-                        swapped = list(filling)
-                        swapped[p], swapped[q] = new_p, new_q
-                        # rows increase, so a window's last entry is its largest
-                        top = (rp[i + w - 1], rq[j + w - 1])
-                        yield tuple(swapped), (p + 1, q + 1), top
+        lp, lq = len(rp), len(rq)
+        lab_p, lab_q = labels[p], labels[q]
+        starts = [
+            (i, j)
+            for i in range(lp)
+            for j in range(lq)
+            if lab_p[i] == lab_q[j]
+            and (not i or rp[i - 1] < rq[j])
+            and (not j or rq[j - 1] < rp[i])
+        ]
+        for w in range(1, min(lp, lq) + 1):
+            for i, j in starts:
+                ie, je = i + w, j + w
+                if ie > lp or je > lq:
+                    continue
+                top_p, top_q = rp[ie - 1], rq[je - 1]
+                if lower_end and top_p < top_q:
+                    continue
+                if (ie == lp or top_q < rp[ie]) and (je == lq or top_p < rq[je]):
+                    swapped = list(filling)
+                    swapped[p] = rp[:i] + rq[j:je] + rp[ie:]
+                    swapped[q] = rq[:j] + rp[i:ie] + rq[je:]
+                    yield tuple(swapped), (p + 1, q + 1), (top_p, top_q)
 
 
 def admissible_swaps(
@@ -90,21 +111,28 @@ def admissible_swaps(
 
 
 def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
-    """Enumerate the nodes and connect them by admissible swaps."""
+    """Enumerate the nodes and connect them by admissible swaps.
+
+    A swap is its own inverse, so both ends of an edge could find it.
+    `_placement_dfs` lists the nodes in lexicographic order of their
+    placement choices (entries r down to 1, rows top to bottom), and the
+    largest entry the exchange moves is the first placement on which the
+    two ends differ; the end with the smaller index places it in the
+    upper row.  So each node keeps only the exchanges whose upper window
+    holds the larger entry, each edge is found once, from its
+    lower-index end, and no candidate is built at the other end.
+    """
     word = validate_word(f, shape.n)
     nodes = enumerate_tableaux(shape, word)
     index = {node.filling: idx for idx, node in enumerate(nodes)}
     labels = [row.labels(shape.n) for row in shape.rows]
     edges: list[Edge] = []
     for a, node in enumerate(nodes):
-        for filling, rows_pq, entries_km in _swaps(node.filling, labels):
+        for filling, rows_pq, entries_km in _swaps(node.filling, labels, lower_end=True):
             b = index.get(filling)
             if b is None:
                 raise ValueError("swap produced a filling outside the enumeration")
-            # a swap is its own inverse, so both ends find each pair; the
-            # end with the smaller index finds it first and keeps its data
-            if a < b:
-                edges.append(Edge(a, b, rows_pq, entries_km))
+            edges.append(Edge(a, b, rows_pq, entries_km))
     return GkmGraph(len(shape.rows), nodes, edges)
 
 

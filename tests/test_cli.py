@@ -731,6 +731,17 @@ def _word_fuzz_case(draw):
     return data, list(word)
 
 
+def _write_word_case(tmp, data, word):
+    """Write a word fuzz case's shape and word files; return their paths."""
+    shape_path = os.path.join(tmp, "shape.json")
+    word_path = os.path.join(tmp, "word.json")
+    with open(shape_path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    with open(word_path, "w", encoding="utf-8") as fh:
+        json.dump({"word": word}, fh)
+    return shape_path, word_path
+
+
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(_word_fuzz_case())
 def test_filtration_word_fuzz(case):
@@ -739,26 +750,47 @@ def test_filtration_word_fuzz(case):
     data, word = case
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        shape_path = os.path.join(tmp, "shape.json")
-        word_path = os.path.join(tmp, "word.json")
-        with open(shape_path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        with open(word_path, "w", encoding="utf-8") as fh:
-            json.dump({"word": word}, fh)
+        shape_path, word_path = _write_word_case(tmp, data, word)
         for command in ("tableaux", "betti"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(
-                    [command, "--shape", shape_path, "--filtration", word_path,
-                     "--format", "json"]
-                )
+            rc, out, err = _capture(
+                [command, "--shape", shape_path, "--filtration", word_path,
+                 "--format", "json"]
+            )
             assert 0 <= rc <= 4
-            assert "Traceback" not in err.getvalue()
-            results[command] = (rc, out.getvalue())
+            assert "Traceback" not in err
+            results[command] = (rc, out)
     assert results["tableaux"][0] == results["betti"][0]
     if results["tableaux"][0] == 0:
         tab = json.loads(results["tableaux"][1])
         assert tab["count"] == json.loads(results["betti"][1])["count"]
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(_word_fuzz_case())
+def test_gkm_word_fuzz(case):
+    # any word file exits 0..4 without a traceback under every format of
+    # gkm, with tableaux's exit code; on success the graph has one node per
+    # tableau and each edge is listed from its lower-index end, where the
+    # upper row's window holds the larger entry
+    data, word = case
+    with tempfile.TemporaryDirectory() as tmp:
+        shape_path, word_path = _write_word_case(tmp, data, word)
+        argv = ["--shape", shape_path, "--filtration", word_path, "--format"]
+        tab_rc, tab_out, _ = _capture(["tableaux", *argv, "json"])
+        results = {fmt: _capture(["gkm", *argv, fmt]) for fmt in ("table", "json", "dot")}
+    for rc, _, err in results.values():
+        assert rc == tab_rc
+        assert 0 <= rc <= 4
+        assert "Traceback" not in err
+    if tab_rc == 0:
+        graph = json.loads(results["json"][1])
+        assert len(graph["nodes"]) == json.loads(tab_out)["count"]
+        for e in graph["edges"]:
+            assert e["a"] < e["b"]
+            assert e["entries"][0] > e["entries"][1]
+        table = results["table"][1].splitlines()
+        assert table[:2] == [f"nodes: {len(graph['nodes'])}", f"edges: {len(graph['edges'])}"]
+        assert results["dot"][1].count("->") == len(graph["edges"])
 
 
 # main() reuses one parser for the whole process; these calls check that

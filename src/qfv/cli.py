@@ -143,30 +143,21 @@ def cmd_tableaux(args) -> int:
     shape = _load_shape(args.shape)
     word = _parse_filtration(args.filtration, shape.n)
     _require_compatible(shape, word)
-    ts = tableaux.enumerate_tableaux(shape, word)
+    records = []
+    for t in tableaux.enumerate_tableaux(shape, word):
+        stats = [t.d_tau(k) for k in range(1, t.size + 1)]
+        filling = [list(row) for row in t.filling]
+        records.append({"filling": filling, "d_tau": stats, "dim": sum(stats)})
     if args.format == "json":
-        payload = {
-            "count": len(ts),
-            "tableaux": [
-                {
-                    "filling": [list(row) for row in t.filling],
-                    "d_tau": [t.d_tau(k) for k in range(1, t.size + 1)],
-                    "dim": t.cell_dim(),
-                }
-                for t in ts
-            ],
-        }
+        payload = {"count": len(records), "tableaux": records}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
-    lines = [f"count: {len(ts)}"]
-    for idx, t in enumerate(ts, start=1):
-        filling = json.dumps(
-            [list(row) for row in t.filling], separators=(",", ":")
-        )
-        stats = " ".join(str(t.d_tau(k)) for k in range(1, t.size + 1))
+    lines = [f"count: {len(records)}"]
+    for idx, rec in enumerate(records, start=1):
+        filling = json.dumps(rec["filling"], separators=(",", ":"))
         lines.append(f"tableau {idx}: {filling}")
-        lines.append(f"  d_tau: {stats}")
-        lines.append(f"  dim: {t.cell_dim()}")
+        lines.append(f"  d_tau: {' '.join(map(str, rec['d_tau']))}")
+        lines.append(f"  dim: {rec['dim']}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -182,15 +182,23 @@ def filtration_dims(word: Sequence[int], k: int, n: int) -> tuple[int, ...]:
     word = validate_word(word, n)
     if not 0 <= k <= len(word):
         raise ValueError(f"step {k} out of range 0..{len(word)}")
+    return _letter_counts(word[:k], n)
+
+
+def _letter_counts(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     dims = [0] * n
-    for v in word[:k]:
+    for v in word:
         dims[v - 1] += 1
     return tuple(dims)
 
 
 def is_compatible(shape: Shape, word: Sequence[int]) -> bool:
     """True when the word's letter counts match the shape's dimension vector."""
-    word = validate_word(word, shape.n)
-    return len(word) == shape.size and filtration_dims(
-        word, len(word), shape.n
+    return _compatible(shape, validate_word(word, shape.n))
+
+
+def _compatible(shape: Shape, word: tuple[int, ...]) -> bool:
+    """`is_compatible` for a word that `validate_word` has returned."""
+    return len(word) == shape.size and _letter_counts(
+        word, shape.n
     ) == shape.dim_vector()

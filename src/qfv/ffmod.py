@@ -13,7 +13,7 @@ two routes must be comparable, not entangled.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from typing import Iterator, Sequence
 
 from .cyclic_core import Box, Row, Shape, normalize_vertex, validate_word
@@ -115,38 +115,37 @@ class NilModule:
 
 
 def _standard_module(shape: Shape):
-    """Dims, 0/1 arrow matrices and box tags of the standard module: boxes
-    in row-major order, each box's vector mapping to its right neighbor."""
+    """Dims, 0/1 arrow matrices and box tags of the standard module, as
+    tuples: boxes in row-major order, each box's vector mapping to its
+    right neighbor.  Only occupied vertices get per-box work; the others
+    share one empty tuple, so a long cycle costs no Python loop over its
+    vertices."""
     n = shape.n
-    tags: list[list[Box]] = [[] for _ in range(n)]
-    coord: dict[Box, tuple[int, int]] = {}
-    for box in shape.boxes():
-        v = shape.label(box) - 1
-        coord[box] = (v, len(tags[v]))
-        tags[v].append(box)
-    dims = tuple(len(t) for t in tags)
-    mats = [
-        [[0] * dims[v] for _ in range(dims[(v + 1) % n])] for v in range(n)
-    ]
+    at: dict[int, list[Box]] = {}  # the boxes at each occupied vertex
+    arrows = []  # (v, a, b): box a at vertex v maps to box b at vertex v+1
     for i, row in enumerate(shape.rows, start=1):
-        for pos in range(1, row.length):
-            v, a = coord[Box(i, pos)]
-            w, b = coord[Box(i, pos + 1)]
-            assert w == (v + 1) % n
-            mats[v][b][a] = 1
-    return dims, mats, tags
+        for pos, label in enumerate(row.labels(n), start=1):
+            boxes = at.setdefault(label - 1, [])
+            if pos > 1:
+                arrows.append((*prev, len(boxes)))
+            prev = (label - 1, len(boxes))
+            boxes.append(Box(i, pos))
+    dims, mats, tags = [0] * n, [()] * n, [()] * n
+    for v, boxes in at.items():
+        dims[v], tags[v] = len(boxes), tuple(boxes)
+    into = {w: [[0] * dims[w - 1] for _ in range(dims[w])] for w in at}
+    for v, a, b in arrows:
+        into[(v + 1) % n][b][a] = 1
+    for w, mat in into.items():
+        mats[w - 1] = tuple(map(tuple, mat))
+    return tuple(dims), tuple(mats), tuple(tags)
 
 
 def build_module(shape: Shape, p: int) -> NilModule:
     """Standard module of a shape over F_p; only p is checked."""
     dims, mats, tags = _standard_module(shape)
     return NilModule._from_trusted(
-        shape.n,
-        _check_prime(p),
-        dims,
-        tuple(tuple(map(tuple, mat)) for mat in mats),
-        tuple(map(tuple, tags)),
-        shape,
+        shape.n, _check_prime(p), dims, mats, tags, shape
     )
 
 
@@ -527,14 +526,14 @@ def dim_end(shape: Shape) -> int:
     """
     dims, mats, _ = _standard_module(shape)
     n = shape.n
-    nvars = sum(d * d for d in dims)
-    offsets = []
-    acc = 0
-    for d in dims:
-        offsets.append(acc)
-        acc += d * d
+    # only occupied vertices carry unknowns or equations
+    offsets: dict[int, int] = {}
+    nvars = 0
+    for v in compress(range(n), dims):
+        offsets[v] = nvars
+        nvars += dims[v] * dims[v]
     rows = []
-    for v in range(n):
+    for v in offsets:
         w = (v + 1) % n
         dv, dw = dims[v], dims[w]
         mat = mats[v]

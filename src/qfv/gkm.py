@@ -17,7 +17,7 @@ from itertools import combinations
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .cyclic_core import Shape, validate_word
+from .cyclic_core import Shape
 from .tableaux import RowMultiTableau, enumerate_tableaux
 
 
@@ -122,8 +122,7 @@ def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
     holds the larger entry, each edge is found once, from its
     lower-index end, and no candidate is built at the other end.
     """
-    word = validate_word(f, shape.n)
-    nodes = enumerate_tableaux(shape, word)
+    nodes = enumerate_tableaux(shape, f)
     index = {node.filling: idx for idx, node in enumerate(nodes)}
     labels = [row.labels(shape.n) for row in shape.rows]
     edges: list[Edge] = []

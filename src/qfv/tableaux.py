@@ -16,7 +16,7 @@ from .cyclic_core import (
     Box,
     Row,
     Shape,
-    is_compatible,
+    _compatible,
     validate_statistic,
     validate_word,
 )
@@ -118,16 +118,26 @@ class RowMultiTableau:
         return len(self._row) - 1
 
     def box_of_entry(self, e: int) -> Box:
-        if not (isinstance(e, int) and 1 <= e <= self.size):
+        if not (type(e) is int and 1 <= e <= self.size):
             raise ValueError(f"no entry {e} in a filling of size {self.size}")
         return Box(self._row[e], self._pos[e])
 
     def step_box(self, k: int) -> Box:
         """Box filled at step k, i.e. the box holding entry r+1-k."""
         r = self.size
-        if not (isinstance(k, int) and 1 <= k <= r):
+        if not (type(k) is int and 1 <= k <= r):
             raise ValueError(f"step {k} out of range 1..{r}")
         return Box(self._row[r + 1 - k], self._pos[r + 1 - k])
+
+    def _rank(self, statistic: str, stop: int | None = None) -> list[int]:
+        """The per-entry rank table of a checked statistic, for the
+        entries below `stop`: an unblocked s counts for k exactly when
+        rank[s] > rank[k].  Pinned ranks by row index; geometric by
+        position, then row index."""
+        if statistic == "pinned":
+            return self._row
+        m = len(self.filling) + 1
+        return [pos * m + row for pos, row in zip(self._pos[:stop], self._row)]
 
     def d_tau(self, k: int, statistic: str = "pinned") -> int:
         """Number of free directions contributed by entry k.
@@ -144,34 +154,27 @@ class RowMultiTableau:
           l_s the number of entries < k in s's row (the two row lengths
           at that step), l_s > l_k, or l_s == l_k and s's row lies below.
 
+        As l_k and l_s are the positions of k and s, both compare a rank:
+        the row index (pinned), or the position then the row index
+        (geometric).  One scan of the entries below k, O(k).
+
         Only the geometric statistic satisfies the point-count identity
         #X(F_q) = sum over cells of q^dim.  The pinned one overstates
         cells with a free direction pointing at a shorter row: for J2+J1
         at n = 1 it gives 1 + q + q^2 where the variety has 2q + 1 points.
         """
-        geometric = validate_statistic(statistic) == "geometric"
+        statistic = validate_statistic(statistic)
         self.box_of_entry(k)
-        return self._free_directions(k, geometric)
-
-    def _free_directions(self, k: int, geometric: bool) -> int:
-        label, right, row = self._label, self._right, self._row
-        label_k, row_k = label[k], row[k]
+        rank = self._rank(statistic, k + 1)
+        label, right = self._label, self._right
+        label_k, rank_k = label[k], rank[k]
         count = 0
         # rows increase, so an s < k in k's row has its right neighbour
         # <= k, and an s in another row is blocked when that neighbour is
         # < k: right[s] > k keeps exactly the unblocked s of other rows
-        if not geometric:
-            for s in range(1, k):
-                if label[s] == label_k and right[s] > k and row[s] > row_k:
-                    count += 1
-            return count
-        # l_k is k's position; l_s is s's position, s being unblocked
-        pos = self._pos
-        pos_k = pos[k]
         for s in range(1, k):
-            if label[s] == label_k and right[s] > k:
-                if pos[s] > pos_k or (pos[s] == pos_k and row[s] > row_k):
-                    count += 1
+            if label[s] == label_k and right[s] > k and rank[s] > rank_k:
+                count += 1
         return count
 
     def cell_dim(self, statistic: str = "pinned") -> int:
@@ -179,27 +182,19 @@ class RowMultiTableau:
         under the pinned (default) or the geometric statistic.
 
         One pass over k = 1..r keeps, per column label, the entries seen
-        so far; only those can count for k, so the cost is the sum of the
-        squared label class sizes rather than r^2."""
-        geometric = validate_statistic(statistic) == "geometric"
-        label, right, row, pos = self._label, self._right, self._row, self._pos
+        so far; only those can count for k, under the rank test of
+        `d_tau`.  The cost is the sum of the squared label class sizes
+        rather than r^2."""
+        rank = self._rank(validate_statistic(statistic))
+        label, right = self._label, self._right
         seen: dict[int, list[int]] = {}
         total = 0
         for k in range(1, len(label)):
             same = seen.setdefault(label[k], [])
-            row_k = row[k]
-            # the same tests as `_free_directions`, over k's label class
-            if geometric:
-                pos_k = pos[k]
-                for s in same:
-                    if right[s] > k and (
-                        pos[s] > pos_k or (pos[s] == pos_k and row[s] > row_k)
-                    ):
-                        total += 1
-            else:
-                for s in same:
-                    if right[s] > k and row[s] > row_k:
-                        total += 1
+            rank_k = rank[k]
+            for s in same:
+                if right[s] > k and rank[s] > rank_k:
+                    total += 1
             same.append(k)
         return total
 
@@ -337,7 +332,7 @@ def enumerate_tableaux(
     search writes as it goes.
     """
     word = validate_word(word, shape.n)
-    if not is_compatible(shape, word):
+    if not _compatible(shape, word):
         return []
     build = RowMultiTableau._from_tables
     return [

@@ -680,8 +680,9 @@ def test_kato_shape_fuzz(data, fmt):
 
 
 def test_tableaux_json_on_one_long_row_is_linear_per_entry(shape_file, capsys):
-    # 1500 d_tau calls: each walks the smaller entries once, so a d_tau
-    # that rebuilt the whole quadratic table per call would not finish
+    # 1500 d_tau calls on one long row; that each one scans only the
+    # smaller entries is checked by counting reads, in
+    # test_d_tau_reads_only_the_entries_below_k
     path = shape_file({"n": 1, "rows": [{"socle": 1, "len": 1500}]})
     word = ",".join(["1"] * 1500)
     rc = main(["tableaux", "--shape", path, "--filtration", word, "--format", "json"])

@@ -60,6 +60,20 @@ def test_swap_returns_the_other_filling():
     assert entries == (2, 1)
 
 
+def test_words_may_be_one_shot_iterators():
+    # the word is checked once, by enumerate_tableaux, which keeps the
+    # tuple it checked; a generator word must not arrive there consumed
+    shape = Shape(2, [Row(1, 2), Row(2, 2)])
+    word = (2, 1, 1, 2)
+    g = build_gkm_graph(shape, (v for v in word))
+    ref = build_gkm_graph(shape, word)
+    assert g.nodes == ref.nodes and g.edges == ref.edges
+    assert len(g.nodes) > 1 and g.edges
+    assert enumerate_tableaux(shape, iter(word)) == list(ref.nodes)
+    with pytest.raises(ValueError, match=r"vertex 3 outside 1\.\.2"):
+        build_gkm_graph(shape, iter((2, 3, 1, 1)))
+
+
 def test_full_flag_on_three_letters():
     g = fl3_graph()
     assert len(g.nodes) == 6

@@ -109,6 +109,49 @@ def test_unknown_statistic_is_rejected(reference_tableau):
         reference_tableau.cell_dim("lengthwise")
 
 
+def test_entry_numbers_reject_bools():
+    # True == 1, but the constructor and from_json reject bools as
+    # entries, so the lookups reject them as entry numbers too
+    t = RowMultiTableau(Shape(1, [Row(1, 2), Row(1, 1)]), ((1, 3), (2,)))
+    for b in (True, False):
+        with pytest.raises(ValueError, match=f"no entry {b} in a filling of size 3"):
+            t.box_of_entry(b)
+        with pytest.raises(ValueError, match=rf"step {b} out of range 1\.\.3"):
+            t.step_box(b)
+        with pytest.raises(ValueError, match=f"no entry {b} in a filling of size 3"):
+            t.d_tau(b)
+        with pytest.raises(ValueError, match=f"no entry {b} in a filling of size 3"):
+            t.d_tau(b, "geometric")
+
+
+class _CountingList(list):
+    """A list that counts the reads made by index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("statistic", ["pinned", "geometric"])
+def test_d_tau_reads_only_the_entries_below_k(statistic):
+    # d_tau(k) scans the entries below k once, so the r calls read the
+    # label table at most r(r+1)/2 times in all (45,150 here), where a
+    # d_tau that filtered a pass over all pairs per call would read it
+    # millions of times; cell_dim reads each entry's label once
+    r = 300
+    t = RowMultiTableau(Shape(1, [Row(1, r)]), [range(1, r + 1)])
+    t._label = labels = _CountingList(t._label)
+    assert [t.d_tau(k, statistic) for k in range(1, r + 1)] == [0] * r
+    assert labels.reads <= r * (r + 1) // 2
+    labels.reads = 0
+    assert t.cell_dim(statistic) == 0
+    assert labels.reads <= r
+
+
 def test_tableau_validation_errors():
     shape = Shape(1, [Row(1, 2), Row(1, 1)])
     with pytest.raises(ValueError):

@@ -317,7 +317,7 @@ def orbit_dim(shape: Shape) -> int:
     counted from the rows in closed form, O(1) per ordered pair of rows.
     `ffmod.dim_end` computes it independently, by linear algebra.
     """
-    return sum(d * d for d in shape.dim_vector()) - _dim_end(shape)
+    return sum(d * d for d in filter(None, shape.dim_vector())) - _dim_end(shape)
 
 
 def multiset_words(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -417,6 +417,6 @@ def kato_gdim(shape: Shape) -> KatoGdim:
                 out.append((fiber - shift, left))
         return out
 
-    flag = sum(d * (d - 1) // 2 for d in dims)
+    flag = sum(d * (d - 1) // 2 for d in filter(None, dims))
     coeffs = {k + flag: c for k, c in _fold(shape.rows, steps, {})}
     return KatoGdim(coeffs, orbit_dim(shape))

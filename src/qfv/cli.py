@@ -166,8 +166,8 @@ def cmd_betti(args) -> int:
     shape = _load_shape(args.shape)
     word = _parse_filtration(args.filtration, shape.n)
     _require_compatible(shape, word)
-    count = betti.f_count(shape, word)
     poly = betti.f_graded(shape, word)
+    count = poly.total()
     if args.format == "json":
         payload = {"count": count, "poincare": poly.to_json()}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)

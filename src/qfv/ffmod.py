@@ -8,6 +8,8 @@ the quotient by dropping that coordinate), count them, and classify each
 flag into a cell by reading off the pivot boxes.  Neither walks flag
 by flag: `count_flags` memoizes its count on each exact quotient, and
 `classify_flags` memoizes its per-cell counts on each exact quotient.
+`cell_of_flag` reads the cell of one given flag from the echelon forms
+of its stages in ambient coordinates, with no quotient modules.
 None of it consults the counting recursions, which is the point: the
 two routes must be comparable, not entangled.
 """
@@ -341,11 +343,17 @@ def _shortest_row_order(m: NilModule, v: int) -> list[int]:
     )
 
 
+def _filling(shape: Shape, entry_at: dict[Box, int]) -> tuple[tuple[int, ...], ...]:
+    """The raw filling of the shape's rows that puts entry_at[box] in each
+    box."""
+    return tuple(
+        tuple(entry_at[Box(i, pos)] for pos in range(1, row.length + 1))
+        for i, row in enumerate(shape.rows, start=1)
+    )
+
+
 def classify_flags(
-    m: NilModule,
-    f: Sequence[int],
-    pivot: str = "first",
-    cell: Sequence[Sequence[int]] | None = None,
+    m: NilModule, f: Sequence[int], pivot: str = "first"
 ) -> dict[tuple[tuple[int, ...], ...], int]:
     """Point count per cell: every flag keyed by the filling its pivot
     boxes spell out.
@@ -362,19 +370,15 @@ def classify_flags(
       surviving coordinates, ties to the upper row.  Each class then holds
       p^d points, d the cell's dimension under the geometric statistic.
 
-    With `cell` (a filling) only the flags of that cell are counted, so
-    the result has at most that one key.
-
-    The flags below a step are counted per partial filling, the (box,
-    entry) pairs the remaining steps assign, and memoized in a dict that
-    lives for this call only.  The key is the exact quotient (`dims`,
-    `mats`, `tags`) plus the rest of the word.  It is sound because both
-    pivot rules read nothing but `dims`, `mats` and `tags`, and a step's
-    entry is the length of the rest of the word; with `cell`, the wanted
-    box per entry is fixed for the call.  So a memo hit stands for every
-    flag below that quotient without visiting them.  Only linear algebra
-    mod p is used, never `count_flags`, `iso_class` or the counting
-    recursions.
+    The flags below a step are counted per tuple of the pivot boxes the
+    remaining steps pick, in step order (step i, counting from 0, gets
+    entry r - i, so the boxes alone name the class), and memoized in a
+    dict that lives for this call only.  The key is the exact quotient
+    (`dims`, `mats`, `tags`) plus the rest of the word.  It is sound
+    because both pivot rules read nothing but `dims`, `mats` and `tags`.
+    So a memo hit stands for every flag below that quotient without
+    visiting them.  Only linear algebra mod p is used, never
+    `count_flags`, `iso_class` or the counting recursions.
 
     Keys are raw filling tuples aligned with the module's shape rows, on
     purpose: a class that fails the tableau invariants still gets
@@ -385,52 +389,33 @@ def classify_flags(
         raise ValueError("classification needs a module built from a shape")
     if pivot not in PIVOTS:
         raise ValueError(f"pivot must be one of {PIVOTS}, got {pivot!r}")
-    want: dict[int, Box] | None = None
-    if cell is not None:
-        want = {
-            e: Box(i, pos)
-            for i, entries in enumerate(cell, start=1)
-            for pos, e in enumerate(entries, start=1)
-        }
-    partials = _classify_rec(m, word, pivot == "shortest", want, {})
-    counts: dict[tuple[tuple[int, ...], ...], int] = {}
-    for partial, count in partials.items():
-        entry_at = dict(partial)
-        filling = tuple(
-            tuple(entry_at[Box(i, pos)] for pos in range(1, row.length + 1))
-            for i, row in enumerate(m.shape.rows, start=1)
-        )
-        counts[filling] = count
-    return counts
+    r = len(word)
+    return {
+        _filling(m.shape, dict(zip(boxes, range(r, 0, -1)))): count
+        for boxes, count in _classify_rec(m, word, pivot == "shortest", {}).items()
+    }
 
 
 def _classify_rec(
-    cur: NilModule,
-    rest: tuple[int, ...],
-    shortest: bool,
-    want: dict[int, Box] | None,
-    memo: dict,
-) -> dict[tuple[tuple[Box, int], ...], int]:
-    """Flags below one step, counted per partial filling: the (box, entry)
-    pairs the remaining steps assign, in step order."""
+    cur: NilModule, rest: tuple[int, ...], shortest: bool, memo: dict
+) -> dict[tuple[Box, ...], int]:
+    """Flags below one step, counted per tuple of the pivot boxes the
+    remaining steps pick, in step order."""
     if not rest:
         return {(): 1} if cur.total_dim == 0 else {}
     key = (cur.dims, cur.mats, cur.tags, rest)
     if key in memo:
         return memo[key]
-    out: dict[tuple[tuple[Box, int], ...], int] = {}
+    out: dict[tuple[Box, ...], int] = {}
     v = rest[0] - 1
-    entry = len(rest)
     basis, _ = kernel_mod(cur.mats[v], cur.dims[v], cur.p)
     order = _shortest_row_order(cur, v) if shortest else range(cur.dims[v])
     for vec in _line_reps(basis, cur.p):
         j = next(j for j in order if vec[j])
         box = cur.tags[v][j]
-        if want is not None and want.get(entry) != box:
-            continue
         qm = _drop_line(cur, v, vec, j)
-        for partial, count in _classify_rec(qm, rest[1:], shortest, want, memo).items():
-            full = ((box, entry),) + partial
+        for boxes, count in _classify_rec(qm, rest[1:], shortest, memo).items():
+            full = (box,) + boxes
             out[full] = out.get(full, 0) + count
     memo[key] = out
     return out
@@ -471,47 +456,39 @@ def split_flag(m: NilModule, t: RowMultiTableau) -> FlagPoint:
 
 
 def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
-    """Classify one flag: peel one line per step, read its pivot box.
+    """Classify one flag: the box of each stage's new pivot receives the
+    stage's entry, r + 1 - k at stage k.
 
-    The pivot is the first nonzero coordinate of the new line in the
-    box-tagged basis order; the box receives the step's entry and is
-    quotiented away before the next step.
+    Everything stays in ambient coordinates.  Stage k is row-reduced
+    together with the echelon basis of stage k-1 at every vertex, and
+    exactly one pivot (v, j) is new.  The earlier pivots are the
+    coordinates that the quotient by stage k-1 drops, so j is the first
+    nonzero coordinate of the new line in that quotient's box-tagged
+    basis, and the line must map into stage k-1 under the arrow out of v.
     """
     if m.shape is None or m.tags is None:
         raise ValueError("classification needs a module built from a shape")
     r = m.total_dim
     if len(fl.chain) != r:
         raise ValueError(f"flag has {len(fl.chain)} stages for dimension {r}")
+    p = m.p
     entry_at: dict[Box, int] = {}
-    cur = m
-    projections: list[tuple[int, Projection]] = []
+    prev = [([], [])] * m.n  # echelon basis and pivots of stage k-1 per vertex
     for k, stage in enumerate(fl.chain, start=1):
         if stage.dim != k:
             raise ValueError(f"stage {k} has dimension {stage.dim}")
-        vectors: list[list[list[int]]] = [[] for _ in range(m.n)]
-        for v in range(m.n):
-            for bvec in stage.basis[v]:
-                w = list(bvec)
-                for _, pr in projections:
-                    w = pr.push_vec(v, w)
-                if any(w):
-                    vectors[v].append(w)
-        pushed = GradedSubspace.from_vectors(cur.p, vectors)
-        if pushed.dim != 1:
+        ech = [rref_mod([*b, *s], p) for (b, _), s in zip(prev, stage.basis)]
+        if sum(len(b) for b, _ in ech) != k:
             raise ValueError(f"stage {k} does not extend the previous stage by a line")
-        v = next(i for i, d in enumerate(pushed.dims) if d)
-        vec = list(pushed.basis[v][0])
-        if any(matvec_mod(cur.mats[v], vec, cur.p)):
+        v = next(v for v in range(m.n) if len(ech[v][1]) > len(prev[v][1]))
+        basis, pivots = ech[v]
+        i, j = next((i, j) for i, j in enumerate(pivots) if j not in prev[v][1])
+        image = matvec_mod(m.mats[v], basis[i], p)
+        if any(reduce_vector_mod(image, *prev[(v + 1) % m.n], p)):
             raise ValueError(f"stage {k} is not arrow-stable")
-        pivot = next(j for j, x in enumerate(vec) if x)
-        entry_at[cur.tags[v][pivot]] = r + 1 - k
-        cur, pr = quotient(cur, pushed)
-        projections.append((v, pr))
-    filling = tuple(
-        tuple(entry_at[Box(i, pos)] for pos in range(1, row.length + 1))
-        for i, row in enumerate(m.shape.rows, start=1)
-    )
-    return RowMultiTableau(m.shape, filling)
+        entry_at[m.tags[v][j]] = r + 1 - k
+        prev = ech
+    return RowMultiTableau(m.shape, _filling(m.shape, entry_at))
 
 
 def dim_end(shape: Shape) -> int:

@@ -794,6 +794,114 @@ def test_gkm_word_fuzz(case):
         assert results["dot"][1].count("->") == len(graph["edges"])
 
 
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(
+    st.sampled_from(list(small_grid())),
+    st.sampled_from(["table", "json"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_oracle_out_and_force_fuzz(case, fmt, to_file, force):
+    # below the guard, --out and --force change neither the exit code nor
+    # the report: --out writes exactly what the call without it prints
+    shape, word = case
+    with tempfile.TemporaryDirectory() as tmp:
+        shape_path = os.path.join(tmp, "shape.json")
+        out_path = os.path.join(tmp, "out.txt")
+        with open(shape_path, "w", encoding="utf-8") as fh:
+            json.dump(shape.to_json(), fh)
+        argv = ["oracle", "--shape", shape_path, "--format", fmt,
+                "--filtration", ",".join(map(str, word))]
+        rc, out, err = _capture(argv)
+        extra = (["--out", out_path] if to_file else []) + (["--force"] if force else [])
+        rc2, out2, err2 = _capture(argv + extra)
+        written = None
+        if os.path.exists(out_path):
+            with open(out_path, encoding="utf-8") as fh:
+                written = fh.read()
+    assert rc in (0, 4) and rc2 == rc
+    assert err == err2 == ""
+    assert (out2, written) == (("", out) if to_file else (out, None))
+
+
+def _poly_text(t):
+    """Polynomial strings in x1..x(t+1), x(t+1) being one past the torus,
+    from a small grammar that also reaches division by zero, non-constant
+    and oversized exponents, unreadable decimals and stray names."""
+    digit = st.integers(0, 9).map(str)
+    name = st.sampled_from([f"x{k}" for k in range(1, t + 2)])
+    leaves = st.one_of(digit, digit, name, name, st.sampled_from(["0.5", "2.0", "1e400", "y"]))
+    ops = st.sampled_from([" + ", " - ", "*", "/", "^", "**"])
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, ops, inner).map("".join),
+            inner.map("({})".format),
+            inner.map("-{}".format),
+        ),
+        max_leaves=6,
+    )
+
+
+def _check_entry(t):
+    """One --check entry: mostly a grammar string, else an int, a float
+    or JSON junk."""
+    text = _poly_text(t)
+    junk = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=4),
+        st.lists(st.integers(0, 3), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+    )
+    return st.one_of(text, text, text, text, st.integers(), st.floats(), junk)
+
+
+# (shape, word, node count, entry strategy for x1..xt)
+_CHECK_CASES = tuple(
+    (data, word, nodes, _check_entry(t))
+    for data, word, nodes, t in (
+        (P1, "1,1", 2, 2),
+        ({"n": 1, "rows": [{"socle": 1, "len": 1}] * 3}, "1,1,1", 6, 3),
+    )
+)
+
+
+@st.composite
+def _check_case(draw):
+    """A shape, its word, and a --check list, mostly with one entry per
+    node."""
+    data, word, nodes, entry = draw(st.sampled_from(_CHECK_CASES))
+    size = draw(st.sampled_from([nodes] * 5 + [0, nodes - 1, nodes + 1]))
+    return data, word, draw(st.lists(entry, min_size=size, max_size=size))
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(_check_case())
+def test_gkm_check_fuzz(case):
+    # any --check list exits 0 with a verdict or 1 with one error line,
+    # never with a traceback
+    data, word, polys = case
+    with tempfile.TemporaryDirectory() as tmp:
+        shape_path = os.path.join(tmp, "shape.json")
+        check_path = os.path.join(tmp, "check.json")
+        with open(shape_path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with open(check_path, "w", encoding="utf-8") as fh:
+            json.dump(polys, fh)
+        rc, out, err = _capture(
+            ["gkm", "--shape", shape_path, "--filtration", word, "--check", check_path]
+        )
+    assert rc in (0, 1)
+    assert "Traceback" not in err
+    if rc == 0:
+        assert err == ""
+        assert out.startswith(("member: true\n", "member: false\n"))
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # main() reuses one parser for the whole process; these calls check that
 # nothing of one call's arguments reaches the next
 

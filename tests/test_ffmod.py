@@ -9,6 +9,9 @@ small grid against `walk_cells`, an unmemoized walk over every flag that
 steps through the public `quotient` by line subspaces built here, never
 through the private `_drop_line` that both memoized routes step with.
 """
+import re
+from collections import Counter
+
 import pytest
 
 from conftest import (
@@ -20,6 +23,7 @@ from conftest import (
 )
 from qfv import (
     Box,
+    FlagPoint,
     GradedSubspace,
     NilModule,
     Row,
@@ -354,29 +358,16 @@ def test_shortest_pivot_classes_are_geometric_cells():
         assert sum(by_cell.values()) == count_flags(m, word)
 
 
-def test_classify_flags_restricted_to_one_cell():
-    word = (1,) * 5
-    m = build_module(shape_221(), 2)
-    for pivot in ("first", "shortest"):
-        full = classify_flags(m, word, pivot=pivot)
-        for t in enumerate_tableaux(shape_221(), word):
-            got = classify_flags(m, word, pivot=pivot, cell=t.filling)
-            assert got == ({t.filling: full[t.filling]} if t.filling in full else {})
-
-
 def test_reference_cell_point_counts(reference_shape, reference_tableau):
     # 2^6 and 3^6 back the geometric dimension 6; the first-coordinate
     # pivot gives 2^7, and neither matches the pinned dimension 9
     assert reference_tableau.cell_dim("geometric") == 6
     for p in (2, 3):
         m = build_module(reference_shape, p)
-        got = classify_flags(
-            m, REFERENCE_WORD, pivot="shortest", cell=REFERENCE_FILLING
-        )
-        assert got == {REFERENCE_FILLING: p**6}
+        by_cell = classify_flags(m, REFERENCE_WORD, pivot="shortest")
+        assert by_cell[REFERENCE_FILLING] == p**6
     m = build_module(reference_shape, 2)
-    got = classify_flags(m, REFERENCE_WORD, cell=REFERENCE_FILLING)
-    assert got == {REFERENCE_FILLING: 2**7}
+    assert classify_flags(m, REFERENCE_WORD)[REFERENCE_FILLING] == 2**7
 
 
 def test_classify_flags_rejects_unknown_pivot():
@@ -414,6 +405,80 @@ def test_split_flag_stages_grow_by_single_boxes():
     t = RowMultiTableau(shape_21(), ((1, 3), (2,)))
     fl = split_flag(m, t)
     assert [s.dim for s in fl.chain] == [1, 2, 3]
+
+
+def every_flag(m, word):
+    """Every flag along the word, one line per step: each step walks the
+    socle lines of the current quotient through the public `quotient`,
+    and lifts the line back to ambient coordinates through the earlier
+    projections in reverse order."""
+    def rec(cur, rest, projections, lines):
+        if not rest:
+            if cur.total_dim == 0:
+                yield lines
+            return
+        v = rest[0] - 1
+        for vec in _line_reps(socle(cur).basis[v], cur.p):
+            line = [[vec] if w == v else [] for w in range(cur.n)]
+            qm, pr = quotient(cur, GradedSubspace.from_vectors(cur.p, line))
+            for earlier in reversed(projections):
+                vec = earlier.lift_vec(v, vec)
+            yield from rec(qm, rest[1:], projections + [pr], lines + [(v, vec)])
+
+    for lines in rec(m, tuple(word), [], []):
+        chain = []
+        for k in range(1, len(lines) + 1):
+            vectors = [[] for _ in range(m.n)]
+            for v, vec in lines[:k]:
+                vectors[v].append(vec)
+            chain.append(GradedSubspace.from_vectors(m.p, vectors))
+        yield FlagPoint(chain)
+
+
+def test_cell_of_flag_on_every_flag_of_the_small_grid():
+    # every flag, not only the torus-fixed split ones: read one flag at a
+    # time, the cells come out with the point counts of `classify_flags`
+    flags = 0
+    for shape, word in small_grid():
+        m = build_module(shape, 2)
+        cells = Counter(cell_of_flag(m, fl).filling for fl in every_flag(m, word))
+        assert dict(cells) == classify_flags(m, word), (shape, word)
+        flags += sum(cells.values())
+    assert flags == 4_008
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "rows, stages, message",
+    [
+        ([Row(1, 1)] * 3, [[E1], [E1, E2]], "flag has 2 stages for dimension 3"),
+        # the dimension is checked before the extension
+        ([Row(1, 1)] * 3, [[E1], [E2], [E1, E2, E3]], "stage 2 has dimension 1"),
+        (
+            [Row(1, 1)] * 3,
+            [[E1], [E2, E3], [E1, E2, E3]],
+            "stage 2 does not extend the previous stage by a line",
+        ),
+        ([Row(1, 2)], [[(1, 0)], [(1, 0), (0, 1)]], "stage 1 is not arrow-stable"),
+        # box (1,1) maps to box (1,2), which is not in stage 1
+        ([Row(1, 2), Row(1, 1)], [[E3], [E3, E1], [E1, E2, E3]], "stage 2 is not arrow-stable"),
+    ],
+    ids=["stage_count", "stage_dimension", "not_a_line", "unstable_first", "unstable_later"],
+)
+def test_cell_of_flag_rejects_malformed_flags(rows, stages, message):
+    m = build_module(Shape(1, rows), 2)
+    fl = FlagPoint([GradedSubspace.from_vectors(2, [stage]) for stage in stages])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cell_of_flag(m, fl)
+
+
+def test_cell_of_flag_needs_a_module_built_from_a_shape():
+    m = NilModule(1, 2, (1,), (((0,),),))
+    fl = FlagPoint([GradedSubspace.from_vectors(2, [[(1,)]])])
+    with pytest.raises(ValueError, match="built from a shape"):
+        cell_of_flag(m, fl)
 
 
 # -------------------------------------------------------------- end algebra

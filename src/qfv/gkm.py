@@ -2,8 +2,11 @@
 
 Nodes are the tableaux of one (shape, filtration) instance.  Two nodes
 are joined when exchanging a pair of label-aligned contiguous box
-segments between two rows turns one filling into the other; the edge
-remembers the two rows, whose torus coordinates give its linear form.
+segments between two rows turns one filling into the other, which is
+the rule `admissible_swaps` searches for; `build_gkm_graph` finds the
+same edges from each node's geometric free directions, the tangent
+directions of its cell.  The edge remembers the two rows, whose torus
+coordinates give its linear form.
 A tuple of polynomials, one per node, is a member of the structure ring
 when every edge difference is divisible by that form.
 """
@@ -15,7 +18,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cyclic_core import Shape
 from .tableaux import RowMultiTableau, enumerate_tableaux
@@ -39,27 +42,34 @@ class GkmGraph:
         self.edges = tuple(edges)
 
 
-def _swaps(
-    filling: tuple[tuple[int, ...], ...],
-    labels: list[tuple[int, ...]],
-    lower_end: bool = False,
-):
-    """Yield (swapped filling, (p, q), entries) for each aligned exchange.
+def admissible_swaps(
+    t: RowMultiTableau,
+) -> list[tuple[RowMultiTableau, tuple[int, int], tuple[int, int]]]:
+    """All aligned segment exchanges out of `t`.
 
-    The plain-tuple core of `admissible_swaps`, which states the rule;
-    `labels` holds each row's column labels, and `entries` is each
-    window's last entry, its largest.  Both rows increase strictly, so
-    an exchanged row increases strictly exactly when each window's ends
-    fit their new neighbours: windows at i in row p and j in row q give
-    rp[i-1] < rq[j] and rq[j-1] < rp[i] on the left, which do not
-    depend on the width w, and rq[j+w-1] < rp[i+w] and
+    A candidate picks two rows and equal-length contiguous windows whose
+    column labels agree position by position; since labels step by one
+    along a row, agreement at the first position is agreement
+    everywhere.  The exchanged filling must still be strictly increasing
+    in both touched rows.  No dimension-gap condition is imposed: on
+    shapes whose rows all have length one the resulting edge count
+    equals the cell-dimension sum exactly, which is what the graph
+    invariants require, while a unit-gap filter breaks it there.
+    Returned entry pair: the largest entry of each window, in row order;
+    the order is row pair, width w, start in row p, start in row q.
+
+    Both rows increase strictly, so an exchanged row increases strictly
+    exactly when each window's ends fit their new neighbours: windows at
+    i in row p and j in row q give rp[i-1] < rq[j] and rq[j-1] < rp[i]
+    on the left, which do not depend on w, and rq[j+w-1] < rp[i+w] and
     rp[i+w-1] < rq[j+w] on the right.  So each row pair collects its
     aligned starts that pass the left tests once and tries only those
-    for every w, which is O(1) per candidate; the order is row pair, w,
-    i, j.  With `lower_end`, only exchanges whose row-p window holds the
-    larger entry are yielded: among all fillings of a word, in the order
-    of `enumerate_tableaux`, that is the end with the smaller index.
+    for every w, which is O(1) per candidate.
     """
+    shape = t.shape
+    filling = t.filling
+    labels = [row.labels(shape.n) for row in shape.rows]
+    out = []
     for p, q in combinations(range(len(filling)), 2):
         rp, rq = filling[p], filling[q]
         lp, lq = len(rp), len(rq)
@@ -78,61 +88,73 @@ def _swaps(
                 if ie > lp or je > lq:
                     continue
                 top_p, top_q = rp[ie - 1], rq[je - 1]
-                if lower_end and top_p < top_q:
-                    continue
                 if (ie == lp or top_q < rp[ie]) and (je == lq or top_p < rq[je]):
                     swapped = list(filling)
                     swapped[p] = rp[:i] + rq[j:je] + rp[ie:]
                     swapped[q] = rq[:j] + rp[i:ie] + rq[je:]
-                    yield tuple(swapped), (p + 1, q + 1), (top_p, top_q)
-
-
-def admissible_swaps(
-    t: RowMultiTableau,
-) -> list[tuple[RowMultiTableau, tuple[int, int], tuple[int, int]]]:
-    """All aligned segment exchanges out of `t`.
-
-    A candidate picks two rows and equal-length contiguous windows whose
-    column labels agree position by position; since labels step by one
-    along a row, agreement at the first position is agreement
-    everywhere.  The exchanged filling must still be strictly increasing
-    in both touched rows.  No dimension-gap condition is imposed: on
-    shapes whose rows all have length one the resulting edge count
-    equals the cell-dimension sum exactly, which is what the graph
-    invariants require, while a unit-gap filter breaks it there.
-    Returned entry pair: the largest entry of each window, in row order.
-    """
-    shape = t.shape
-    labels = [row.labels(shape.n) for row in shape.rows]
-    return [
-        (RowMultiTableau(shape, f), rows, entries)
-        for f, rows, entries in _swaps(t.filling, labels)
-    ]
+                    swap = RowMultiTableau(shape, swapped)
+                    out.append((swap, (p + 1, q + 1), (top_p, top_q)))
+    return out
 
 
 def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
-    """Enumerate the nodes and connect them by admissible swaps.
+    """Enumerate the nodes and join them along their free directions.
 
-    A swap is its own inverse, so both ends of an edge could find it.
-    `_placement_dfs` lists the nodes in lexicographic order of their
-    placement choices (entries r down to 1, rows top to bottom), and the
-    largest entry the exchange moves is the first placement on which the
-    two ends differ; the end with the smaller index places it in the
-    upper row.  So each node keeps only the exchanges whose upper window
-    holds the larger entry, each edge is found once, from its
-    lower-index end, and no candidate is built at the other end.
+    The edges at a node are its geometric free directions (k, s), the
+    pairs that `cell_dim(statistic="geometric")` counts, each taken with
+    every width w: the exchange of the w-box windows that end at k and
+    at s.  Such a direction already makes the right ends fit (s < k <
+    right neighbour of k, and k < right neighbour of s), so only the two
+    left-end tests of `admissible_swaps` remain for each w.  Every swap
+    of the graph arises this way at exactly one of its two ends, which
+    is not always the lower-index one; so each edge is filed under its
+    lower-index end, with the key (row pair, w, start in row p, start in
+    row q) that orders the exchanges of `admissible_swaps`, and the
+    sorted keys become the edges.  `Edge.entries` holds each window's
+    last entry at the lower-index end, row p first: that is (k, s), as
+    there the row-p window holds the larger one.
     """
     nodes = enumerate_tableaux(shape, f)
     index = {node.filling: idx for idx, node in enumerate(nodes)}
-    labels = [row.labels(shape.n) for row in shape.rows]
-    edges: list[Edge] = []
-    for a, node in enumerate(nodes):
-        for filling, rows_pq, entries_km in _swaps(node.filling, labels, lower_end=True):
-            b = index.get(filling)
-            if b is None:
-                raise ValueError("swap produced a filling outside the enumeration")
-            edges.append(Edge(a, b, rows_pq, entries_km))
-    return GkmGraph(len(shape.rows), nodes, edges)
+    # every node induces the word, so entry k has the same column label
+    # in all of them: the pairs s < k of one label are listed once
+    label = nodes[0]._label if nodes else []
+    pairs = [
+        (k, s) for k in range(2, len(label)) for s in range(1, k) if label[s] == label[k]
+    ]
+    keys: list = []
+    for owner, node in enumerate(nodes):
+        filling = node.filling
+        row, pos, right = node._row, node._pos, node._right
+        rank = node._rank("geometric")
+        for k, s in pairs:
+            if not (right[s] > k and rank[s] > rank[k]):
+                continue
+            # (k, s) is a free direction: rows rk and rs hold k and s, and
+            # the windows end just before positions ek and es
+            rk, rs = row[k] - 1, row[s] - 1
+            ek, es = pos[k], pos[s]
+            row_k, row_s = filling[rk], filling[rs]
+            for w in range(1, min(ek, es) + 1):
+                i, j = ek - w, es - w
+                if (i and row_k[i - 1] > row_s[j]) or (j and row_s[j - 1] > row_k[i]):
+                    continue
+                swapped = list(filling)
+                swapped[rk] = row_k[:i] + row_s[j:es] + row_k[ek:]
+                swapped[rs] = row_s[:j] + row_k[i:ek] + row_s[es:]
+                other = index.get(tuple(swapped))
+                if other is None:
+                    raise ValueError("swap produced a filling outside the enumeration")
+                a, b = (owner, other) if owner < other else (other, owner)
+                if rk < rs:
+                    keys.append((a, rk, rs, w, i, j, b))
+                else:
+                    keys.append((a, rs, rk, w, j, i, b))
+    keys.sort()
+    for idx, (a, p, q, w, i, j, b) in enumerate(keys):
+        top = nodes[a].filling
+        keys[idx] = Edge(a, b, (p + 1, q + 1), (top[p][i + w - 1], top[q][j + w - 1]))
+    return GkmGraph(len(shape.rows), nodes, keys)
 
 
 def torus_symbols(t: int):
@@ -171,10 +193,11 @@ def _constant_value(poly: dict):
     return None
 
 
-def _add(a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
+def _add_into(out: dict, b: dict, negate: bool) -> dict:
+    """`out` plus (or minus) `b`, added into `out`, a fresh dict that the
+    caller gives up, so a long sum is not copied once per term."""
     for mono, c in b.items():
-        c = out.get(mono, 0) + sign * c
+        c = out.get(mono, 0) - c if negate else out.get(mono, 0) + c
         if c:
             out[mono] = c
         else:
@@ -224,15 +247,16 @@ def _mul(a: dict, b: dict) -> dict:
     return {mono: c for mono, c in out.items() if c}
 
 
-def _binop(op: ast.operator, a: dict, b: dict, zero: tuple) -> dict:
-    if isinstance(op, ast.Add):
-        return _add(a, b, 1)
-    if isinstance(op, ast.Sub):
-        return _add(a, b, -1)
-    if isinstance(op, ast.Mult):
+def _binop(op: type, a: dict, b: dict, zero: tuple) -> dict:
+    """`a op b` for the type of an `ast.operator`; `a` may be reused."""
+    if op is ast.Add:
+        return _add_into(a, b, False)
+    if op is ast.Sub:
+        return _add_into(a, b, True)
+    if op is ast.Mult:
         return _mul(a, b)
     c = _constant_value(b)
-    if isinstance(op, ast.Div):
+    if op is ast.Div:
         if c is None:
             raise ValueError("division by a non-constant")
         if c == 0:
@@ -254,7 +278,8 @@ def _binop(op: ast.operator, a: dict, b: dict, zero: tuple) -> dict:
     return result
 
 
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_BINOPS = frozenset((ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow))
+_UNARYOPS = frozenset((ast.UAdd, ast.USub))
 
 
 class _StraySymbols(ValueError):
@@ -267,8 +292,9 @@ def _parse_poly(p, t: int) -> dict:
     An int or float is a constant; a string is parsed, with `^` meaning
     `**` as in sympy; any other object is parsed from `str(p)`.  The tree
     from `ast.parse` is folded bottom-up on an explicit stack, so long
-    sums do not recurse.  Raises ValueError for any other syntax and for
-    a product past the size caps.
+    sums do not recurse; every value on the stack is a fresh dict, so a
+    sum or a negation reuses its left operand.  Raises ValueError for any
+    other syntax and for a product past the size caps.
     """
     if type(p) in (int, float):
         tree = ast.Expression(ast.Constant(p))
@@ -284,27 +310,30 @@ def _parse_poly(p, t: int) -> dict:
     values: list[dict] = []
     while stack:
         node, children_done = stack.pop()
-        if isinstance(node, ast.Constant):
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) in _BINOPS:
+            if not children_done:
+                stack += [(node, True), (node.right, False), (node.left, False)]
+            else:
+                b = values.pop()
+                values.append(_binop(type(node.op), values.pop(), b, zero))
+        elif kind is ast.Constant:
             c = _literal(node.value)
             values.append({zero: c} if c else {})
-        elif isinstance(node, ast.Name):
+        elif kind is ast.Name:
             if node.id not in var:
                 stray = {m.id for m in ast.walk(tree) if isinstance(m, ast.Name)}
                 raise _StraySymbols(f"symbols outside x1..x{t}: {sorted(stray - set(var))}")
             mono = [0] * t
             mono[var[node.id]] = 1
             values.append({tuple(mono): 1})
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        elif kind is ast.UnaryOp and type(node.op) in _UNARYOPS:
             if not children_done:
                 stack += [(node, True), (node.operand, False)]
-            elif isinstance(node.op, ast.USub):
-                values.append({mono: -c for mono, c in values.pop().items()})
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-            if not children_done:
-                stack += [(node, True), (node.right, False), (node.left, False)]
-            else:
-                b = values.pop()
-                values.append(_binop(node.op, values.pop(), b, zero))
+            elif type(node.op) is ast.USub:
+                poly = values[-1]
+                for mono, c in poly.items():
+                    poly[mono] = -c
         else:
             raise ValueError(f"{type(getattr(node, 'op', node)).__name__} is not allowed")
     return values.pop()
@@ -322,7 +351,7 @@ def _collapse(poly: dict, p: int, q: int) -> dict:
     return {mono: c for mono, c in out.items() if c}
 
 
-def membership_check(g: GkmGraph, polys: Sequence) -> tuple[bool, list[Edge]]:
+def membership_check(g: GkmGraph, polys: Iterable) -> tuple[bool, list[Edge]]:
     """Divisibility of every edge difference by the edge's linear form.
 
     Takes one polynomial per node, in node order: a string, an int, a
@@ -334,21 +363,31 @@ def membership_check(g: GkmGraph, polys: Sequence) -> tuple[bool, list[Edge]]:
     the size caps (as in 9^9^9).  Strings are parsed, never evaluated,
     and the arithmetic is exact over the rationals (a decimal such as
     0.1 is 1/10).  For an edge on rows (p, q) the requirement is that the
-    difference vanish under substituting x_p by x_q.  Returns the overall
-    verdict plus the failing edges, in edge order.
+    difference vanish under substituting x_p by x_q.  `polys` may be
+    any iterable; a string that recurs is parsed once per call.  Returns
+    the overall verdict plus the failing edges, in edge order.
     """
+    polys = list(polys)
     if len(polys) != len(g.nodes):
         raise ValueError(
             f"need {len(g.nodes)} polynomials, got {len(polys)}"
         )
     parsed = []
+    by_text: dict[str, dict] = {}
     for p in polys:
+        text = p if type(p) is str else None
+        if text in by_text:
+            parsed.append(by_text[text])
+            continue
         try:
-            parsed.append(_parse_poly(p, g.t))
+            poly = _parse_poly(p, g.t)
         except _StraySymbols:
             raise
         except ValueError as exc:
             raise ValueError(f"cannot parse polynomial {p!r}: {exc}") from None
+        if text is not None:
+            by_text[text] = poly
+        parsed.append(poly)
     collapsed: dict = {}
 
     def side(node: int, p: int, q: int) -> dict:

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_shapes
+from conftest import REFERENCE_WORD, all_shapes
 from qfv import (
     Row,
     Shape,
@@ -21,6 +21,7 @@ from qfv import (
     multiset_words,
     torus_symbols,
 )
+from qfv.gkm import Edge, _parse_poly
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
 
 
@@ -232,6 +233,35 @@ def test_edges_match_pairwise_exchange_check():
     assert words == 2925
 
 
+def _lower_end_edges(g):
+    """The edges as the window search finds them: node by node, the
+    exchanges of `admissible_swaps` whose row-p window holds the larger
+    entry, with the other end found by its filling."""
+    index = {t.filling: idx for idx, t in enumerate(g.nodes)}
+    return [
+        Edge(a, index[swapped.filling], rows, entries)
+        for a, t in enumerate(g.nodes)
+        for swapped, rows, entries in admissible_swaps(t)
+        if entries[0] > entries[1]
+    ]
+
+
+def test_edge_order_matches_lower_end_swaps(reference_shape):
+    # every `qfv gkm` format prints the edges in order, so the order is
+    # pinned as a list, not only as a set
+    words = 0
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 5, 4):
+            for word in multiset_words(shape.dim_vector()):
+                words += 1
+                g = build_gkm_graph(shape, word)
+                assert list(g.edges) == _lower_end_edges(g)
+    assert words == 2925
+    g = build_gkm_graph(reference_shape, REFERENCE_WORD)
+    assert len(g.edges) == 12960
+    assert list(g.edges) == _lower_end_edges(g)
+
+
 def test_membership_constant_tuple():
     g = fl3_graph()
     ok, failures = membership_check(g, [7] * 6)
@@ -275,6 +305,47 @@ def test_membership_input_errors():
         membership_check(g, ("x1+(", "x2"))
     with pytest.raises(ValueError):
         membership_check(g, ("y1", "x2"))
+
+
+def test_membership_accepts_a_generator():
+    g = fl3_graph()
+    texts = [f"{i}*x1" for i in range(6)]
+    expected = (False, list(g.edges))
+    assert membership_check(g, texts) == expected
+    assert membership_check(g, (s for s in texts)) == expected
+    with pytest.raises(ValueError, match="need 6 polynomials, got 5"):
+        membership_check(g, (s for s in texts[:5]))
+
+
+def test_parser_sums_cancel_in_one_pass():
+    assert _parse_poly("x1 - x1", 2) == {}
+    assert _parse_poly("x1 + x2 - x1 - x2", 2) == {}
+    assert _parse_poly("+x1 + +x1", 2) == _parse_poly("2*x1", 2) == {(1, 0): 2}
+    assert _parse_poly("x1**0 + x1**0", 2) == _parse_poly("2", 2) == {(0, 0): 2}
+    assert _parse_poly("-(x1 - x2) + x1", 2) == {(0, 1): 1}
+
+
+def test_membership_repeated_strings_match_distinct_copies():
+    # a string that recurs is parsed once per call; spaces make copies
+    # that are distinct strings for the same polynomial
+    g = fl3_graph()
+    for texts in (
+        ["x1*x2 - x3"] * 6,
+        ["x1", "x2*x3 - x1", "x1", "x2*x3 - x1", "x1", "-x2"],
+        ["(x1 + x2)^2", "x3", "(x1 + x2)^2", "(x1 + x2)^2", "x3", "x1 - x1"],
+    ):
+        copies = [text + " " * i for i, text in enumerate(texts)]
+        assert membership_check(g, texts) == membership_check(g, copies)
+    ok, failures = membership_check(g, ["x1", "x2*x3 - x1", "x1", "x2*x3 - x1", "x1", "-x2"])
+    assert not ok and failures
+
+
+def test_membership_reports_a_repeated_malformed_string():
+    g = fl3_graph()
+    texts = ["x1"] * 6
+    texts[2] = texts[5] = "x1 +* x2"
+    with pytest.raises(ValueError, match=r"cannot parse polynomial 'x1 \+\* x2'"):
+        membership_check(g, texts)
 
 
 def test_export_dot_layout():

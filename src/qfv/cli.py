@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import betti, ffmod, gkm, tableaux
-from .cyclic_core import Shape, is_compatible, validate_word
+from .cyclic_core import Shape, _compatible, validate_word
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -119,13 +119,17 @@ def _parse_primes(arg: str) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _require_compatible(shape: Shape, word) -> None:
-    if not is_compatible(shape, word):
+def _instance(args) -> tuple[Shape, tuple[int, ...]]:
+    """The shape and filtration word of a subcommand, checked compatible."""
+    shape = _load_shape(args.shape)
+    word = _parse_filtration(args.filtration, shape.n)
+    if not _compatible(shape, word):
         raise CliError(
             EXIT_INCOMPATIBLE,
             f"filtration {','.join(map(str, word))} is incompatible with "
             f"dimension vector {shape.dim_vector()}",
         )
+    return shape, word
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,9 +144,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_tableaux(args) -> int:
-    shape = _load_shape(args.shape)
-    word = _parse_filtration(args.filtration, shape.n)
-    _require_compatible(shape, word)
+    shape, word = _instance(args)
     records = []
     for t in tableaux.enumerate_tableaux(shape, word):
         stats = [t.d_tau(k) for k in range(1, t.size + 1)]
@@ -163,9 +165,7 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    shape = _load_shape(args.shape)
-    word = _parse_filtration(args.filtration, shape.n)
-    _require_compatible(shape, word)
+    shape, word = _instance(args)
     poly = betti.f_graded(shape, word)
     count = poly.total()
     if args.format == "json":
@@ -177,45 +177,28 @@ def cmd_betti(args) -> int:
 
 
 def _oracle_one(shape: Shape, word, p: int, poly, expected_cells):
-    found_cells = ffmod.classify_flags(ffmod.build_module(shape, p), word)
-    count = sum(found_cells.values())
-    per_cell = []
-    ok = count == poly.evaluate(p)
-    for filling, dim in expected_cells:
-        found = found_cells.pop(filling, 0)
-        expected = p**dim
-        if found != expected:
-            ok = False
-        per_cell.append(
-            {
-                "tableau": [list(row) for row in filling],
-                "expected": expected,
-                "found": found,
-            }
-        )
-    for filling in sorted(found_cells):
-        # a realized class the enumeration did not predict
-        ok = False
-        per_cell.append(
-            {
-                "tableau": [list(row) for row in filling],
-                "expected": 0,
-                "found": found_cells[filling],
-            }
-        )
+    found = ffmod.classify_flags(ffmod.build_module(shape, p), word)
+    count = sum(found.values())
+    cells = [(f, p**dim, found.pop(f, 0)) for f, dim in expected_cells]
+    # then the realized classes the enumeration did not predict
+    cells += [(f, 0, found[f]) for f in sorted(found)]
+    per_cell = [
+        {"tableau": [list(row) for row in f], "expected": expected, "found": got}
+        for f, expected, got in cells
+    ]
+    poincare_at_p = poly.evaluate(p)
     return {
         "p": p,
         "count": count,
-        "poincare_at_p": poly.evaluate(p),
-        "match": ok,
+        "poincare_at_p": poincare_at_p,
+        "match": count == poincare_at_p
+        and all(cell["expected"] == cell["found"] for cell in per_cell),
         "per_cell": per_cell,
     }
 
 
 def cmd_oracle(args) -> int:
-    shape = _load_shape(args.shape)
-    word = _parse_filtration(args.filtration, shape.n)
-    _require_compatible(shape, word)
+    shape, word = _instance(args)
     primes = _parse_primes(args.primes)
     poly = betti.f_graded(shape, word)
     expected_flags = max(poly.evaluate(p) for p in primes)
@@ -252,9 +235,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gkm(args) -> int:
-    shape = _load_shape(args.shape)
-    word = _parse_filtration(args.filtration, shape.n)
-    _require_compatible(shape, word)
+    shape, word = _instance(args)
     graph = gkm.build_gkm_graph(shape, word)
     if args.check:
         data = _load_json(args.check)

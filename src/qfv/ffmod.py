@@ -83,33 +83,15 @@ class NilModule:
         return m
 
     def _check_nilpotent(self):
-        total = sum(self.dims)
-        for v in range(self.n):
-            # composite around the cycle starting at vertex v+1
-            size = self.dims[v]
-            comp = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-            for step in range(self.n):
-                mat = self.mats[(v + step) % self.n]
-                comp = [
-                    [
-                        sum(mat[i][k] * comp[k][j] for k in range(len(comp))) % self.p
-                        for j in range(size)
-                    ]
-                    for i in range(len(mat))
-                ]
-            power = comp
-            for _ in range(max(total - 1, 0)):
-                if not any(any(row) for row in power):
-                    break
-                power = [
-                    [
-                        sum(comp[i][k] * power[k][j] for k in range(size)) % self.p
-                        for j in range(size)
-                    ]
-                    for i in range(size)
-                ]
-            if any(any(row) for row in power):
+        # rad^l shrinks until it is 0; a step that keeps its dimension
+        # maps rad^(l-1) onto itself, so no power of the arrows kills it
+        radicals = _radical_powers(self)
+        dim = self.total_dim
+        while dim:
+            nxt = sum(map(len, next(radicals)))
+            if nxt == dim:
                 raise ValueError("cycle composite is not nilpotent")
+            dim = nxt
 
     @property
     def total_dim(self) -> int:
@@ -465,6 +447,9 @@ def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
     coordinates that the quotient by stage k-1 drops, so j is the first
     nonzero coordinate of the new line in that quotient's box-tagged
     basis, and the line must map into stage k-1 under the arrow out of v.
+    A stage with other than n vertices, or with a vector whose length is
+    not its vertex's dimension, raises ValueError like any other
+    malformed flag.
     """
     if m.shape is None or m.tags is None:
         raise ValueError("classification needs a module built from a shape")
@@ -475,6 +460,15 @@ def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
     entry_at: dict[Box, int] = {}
     prev = [([], [])] * m.n  # echelon basis and pivots of stage k-1 per vertex
     for k, stage in enumerate(fl.chain, start=1):
+        if len(stage.basis) != m.n:
+            raise ValueError(f"stage {k} has {len(stage.basis)} vertices, not {m.n}")
+        for v, b in enumerate(stage.basis):
+            for vec in b:
+                if len(vec) != m.dims[v]:
+                    raise ValueError(
+                        f"stage {k} has a vector of length {len(vec)} at "
+                        f"vertex {v + 1}, of dimension {m.dims[v]}"
+                    )
         if stage.dim != k:
             raise ValueError(f"stage {k} has dimension {stage.dim}")
         ech = [rref_mod([*b, *s], p) for (b, _), s in zip(prev, stage.basis)]
@@ -530,6 +524,26 @@ def dim_end(shape: Shape) -> int:
     return nvars - rank_rational(rows)
 
 
+def _radical_powers(m: NilModule) -> Iterator[list[list[list[int]]]]:
+    """Per-vertex echelon bases of rad^1, rad^2, ... of m, without end.
+
+    rad^l at vertex w is the image of the composite of the l arrows
+    arriving there: the arrow into w applied to rad^(l-1) at w-1, with
+    rad^0 everything.
+    """
+    p = m.p
+    rad = [
+        [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+        for d in m.dims
+    ]
+    while True:
+        rad = [
+            rref_mod([matvec_mod(m.mats[w - 1], b, p) for b in rad[w - 1]], p)[0]
+            for w in range(m.n)
+        ]
+        yield rad
+
+
 def iso_class(m: NilModule) -> Shape:
     """Recover the multiset of rows of a concrete module.
 
@@ -546,22 +560,11 @@ def iso_class(m: NilModule) -> Shape:
         join = len(rref_mod(list(soc[w]) + rad_b, p)[0])
         return len(soc[w]) + len(rad_b) - join
 
-    # rad[w]: echelon basis of the l-th radical power at vertex w, the
-    # image of the composite of the l arrows arriving there; rad^0 is
-    # everything, so its meet with the socle is the socle
-    rad = [
-        [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        for d in m.dims
-    ]
-    meet = [len(b) for b in soc]
+    meet = [len(b) for b in soc]  # the meet with rad^0, everything
     rows = []
-    for l in range(1, m.total_dim + 1):
-        if not any(meet):
-            break  # meets only shrink as l grows
-        rad = [
-            rref_mod([matvec_mod(m.mats[w - 1], b, p) for b in rad[w - 1]], p)[0]
-            for w in range(m.n)
-        ]
+    radicals = enumerate(_radical_powers(m), start=1)
+    while any(meet):  # meets only shrink as l grows
+        l, rad = next(radicals)
         nxt = [meet_dim(w, rad[w]) for w in range(m.n)]
         for w in range(m.n):
             rows.extend([Row(w + 1, l)] * (meet[w] - nxt[w]))

@@ -364,8 +364,9 @@ def membership_check(g: GkmGraph, polys: Iterable) -> tuple[bool, list[Edge]]:
     and the arithmetic is exact over the rationals (a decimal such as
     0.1 is 1/10).  For an edge on rows (p, q) the requirement is that the
     difference vanish under substituting x_p by x_q.  `polys` may be
-    any iterable; a string that recurs is parsed once per call.  Returns
-    the overall verdict plus the failing edges, in edge order.
+    any iterable; a string that recurs is parsed once per call, and
+    collapsed once per pair of rows.  Returns the overall verdict plus
+    the failing edges, in edge order.
     """
     polys = list(polys)
     if len(polys) != len(g.nodes):
@@ -388,10 +389,12 @@ def membership_check(g: GkmGraph, polys: Iterable) -> tuple[bool, list[Edge]]:
         if text is not None:
             by_text[text] = poly
         parsed.append(poly)
+    # keyed by the parsed dict, which nodes with the same string share;
+    # `parsed` holds every one of them until the call returns
     collapsed: dict = {}
 
     def side(node: int, p: int, q: int) -> dict:
-        key = (node, p, q)
+        key = (id(parsed[node]), p, q)
         if key not in collapsed:
             collapsed[key] = _collapse(parsed[node], p, q)
         return collapsed[key]

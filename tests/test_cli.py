@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_grid
-from qfv import Shape, cli, ffmod
+from qfv import Shape, cli, ffmod, tableaux
 from qfv.cli import main
 
 P1 = {"n": 1, "rows": [{"socle": 1, "len": 1}, {"socle": 1, "len": 1}]}
@@ -137,6 +137,39 @@ def test_oracle_mismatch_exits_four(shape_file, capsys):
     assert rc == 4
     assert "match=NO" in out
     assert "cell [[2,3],[1]]: expected 4 found 2  <-- mismatch" in out
+
+
+def test_oracle_reports_classes_the_enumeration_did_not_predict(
+    shape_file, capsys, monkeypatch
+):
+    # no small instance realizes a class outside the enumeration, so two
+    # are added to what the CLI's classify_flags returns, out of order
+    classify = cli.ffmod.classify_flags
+
+    def with_extras(m, word):
+        return {((3,), (1,)): 5, **classify(m, word), ((1,), (3,)): 2}
+
+    monkeypatch.setattr(cli.ffmod, "classify_flags", with_extras)
+    argv = ["oracle", "--shape", shape_file(P1), "--filtration", "1,1", "--primes", "2"]
+    assert main(argv + ["--format", "json"]) == 4
+    [report] = json.loads(capsys.readouterr().out)
+    enumerated = [
+        {"tableau": [list(row) for row in t.filling], "expected": 2 ** t.cell_dim(),
+         "found": 2 ** t.cell_dim()}
+        for t in tableaux.enumerate_tableaux(Shape.from_json(P1), (1, 1))
+    ]
+    assert report["per_cell"] == enumerated + [
+        {"tableau": [[1], [3]], "expected": 0, "found": 2},
+        {"tableau": [[3], [1]], "expected": 0, "found": 5},
+    ]
+    assert report["count"] == 10 and report["match"] is False
+    assert main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "p=2: count=10 poincare_at_p=3 match=NO"
+    assert lines[-2:] == [
+        "  cell [[1],[3]]: expected 0 found 2  <-- mismatch",
+        "  cell [[3],[1]]: expected 0 found 5  <-- mismatch",
+    ]
 
 
 def test_oracle_json_reports_per_cell(shape_file, capsys):

@@ -9,6 +9,7 @@ small grid against `walk_cells`, an unmemoized walk over every flag that
 steps through the public `quotient` by line subspaces built here, never
 through the private `_drop_line` that both memoized routes step with.
 """
+import random
 import re
 from collections import Counter
 
@@ -102,6 +103,62 @@ def test_build_module_matches_the_public_constructor(p):
 def test_nilmodule_rejects_non_nilpotent_loops():
     with pytest.raises(ValueError):
         NilModule(1, 2, (1,), (((1,),),))
+
+
+def _mat_mul(a, b, p):
+    return [
+        [sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a
+    ]
+
+
+def _nilpotent_by_composites(n, p, dims, mats):
+    """The definition: at every vertex the composite of the n arrows
+    around the cycle, raised to the total dimension, is zero."""
+    total = sum(dims)
+    for v in range(n):
+        comp = [[int(i == j) for j in range(dims[v])] for i in range(dims[v])]
+        for step in range(n):
+            comp = _mat_mul(mats[(v + step) % n], comp, p)
+        power = [[int(i == j) for j in range(dims[v])] for i in range(dims[v])]
+        for _ in range(total):
+            power = _mat_mul(comp, power, p)
+        if any(map(any, power)):
+            return False
+    return True
+
+
+def test_nilmodule_nilpotency_matches_the_cycle_composites():
+    rng = random.Random(20)
+    rejected = 0
+    for _ in range(6000):
+        n, p = rng.randint(1, 3), rng.choice((2, 3))
+        dims = [rng.randint(0, 3) for _ in range(n)]
+        density = rng.choice((0.1, 0.3, 0.6, 1.0))
+        mats = [
+            [
+                [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(dims[v])]
+                for _ in range(dims[(v + 1) % n])
+            ]
+            for v in range(n)
+        ]
+        if _nilpotent_by_composites(n, p, dims, mats):
+            NilModule(n, p, dims, mats)
+        else:
+            rejected += 1
+            with pytest.raises(ValueError, match="^cycle composite is not nilpotent$"):
+                NilModule(n, p, dims, mats)
+    assert rejected == 1535  # of the 6,000 seeded cases
+
+
+def test_nilmodule_on_a_long_cycle():
+    # the check walks radical powers, so a long cycle costs a few passes
+    # over its vertices, not one pass per vertex
+    n = 10**5
+    zero = NilModule(n, 2, (0,) * n, [()] * n)
+    assert zero.total_dim == 0
+    m = build_module(Shape(n, [Row(1, 2)]), 3)
+    ref = NilModule(n, 3, m.dims, m.mats, tags=m.tags, shape=m.shape)
+    assert (ref.dims, ref.mats) == (m.dims, m.mats)
 
 
 # ------------------------------------------------------- socle and quotient
@@ -448,28 +505,57 @@ def test_cell_of_flag_on_every_flag_of_the_small_grid():
 
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+# two simples, at vertices 1 and 2 of the 2-cycle
+TWO_SIMPLES = Shape(2, [Row(1, 1), Row(2, 1)])
 
 
 @pytest.mark.parametrize(
-    "rows, stages, message",
+    "shape, stages, message",
     [
-        ([Row(1, 1)] * 3, [[E1], [E1, E2]], "flag has 2 stages for dimension 3"),
+        # each stage lists its vectors per vertex
+        (Shape(1, [Row(1, 1)] * 3), [[[E1]], [[E1, E2]]], "flag has 2 stages for dimension 3"),
         # the dimension is checked before the extension
-        ([Row(1, 1)] * 3, [[E1], [E2], [E1, E2, E3]], "stage 2 has dimension 1"),
         (
-            [Row(1, 1)] * 3,
-            [[E1], [E2, E3], [E1, E2, E3]],
+            Shape(1, [Row(1, 1)] * 3),
+            [[[E1]], [[E2]], [[E1, E2, E3]]],
+            "stage 2 has dimension 1",
+        ),
+        (
+            Shape(1, [Row(1, 1)] * 3),
+            [[[E1]], [[E2, E3]], [[E1, E2, E3]]],
             "stage 2 does not extend the previous stage by a line",
         ),
-        ([Row(1, 2)], [[(1, 0)], [(1, 0), (0, 1)]], "stage 1 is not arrow-stable"),
+        (Shape(1, [Row(1, 2)]), [[[(1, 0)]], [[(1, 0), (0, 1)]]], "stage 1 is not arrow-stable"),
         # box (1,1) maps to box (1,2), which is not in stage 1
-        ([Row(1, 2), Row(1, 1)], [[E3], [E3, E1], [E1, E2, E3]], "stage 2 is not arrow-stable"),
+        (
+            Shape(1, [Row(1, 2), Row(1, 1)]),
+            [[[E3]], [[E3, E1]], [[E1, E2, E3]]],
+            "stage 2 is not arrow-stable",
+        ),
+        (
+            TWO_SIMPLES,
+            [[[(1,)], [], []], [[(1,)], [(1,)], []]],
+            "stage 1 has 3 vertices, not 2",
+        ),
+        (
+            TWO_SIMPLES,
+            [[[(1, 1)], []], [[(1, 1)], [(1,)]]],
+            "stage 1 has a vector of length 2 at vertex 1, of dimension 1",
+        ),
     ],
-    ids=["stage_count", "stage_dimension", "not_a_line", "unstable_first", "unstable_later"],
+    ids=[
+        "stage_count",
+        "stage_dimension",
+        "not_a_line",
+        "unstable_first",
+        "unstable_later",
+        "vertex_count",
+        "vector_length",
+    ],
 )
-def test_cell_of_flag_rejects_malformed_flags(rows, stages, message):
-    m = build_module(Shape(1, rows), 2)
-    fl = FlagPoint([GradedSubspace.from_vectors(2, [stage]) for stage in stages])
+def test_cell_of_flag_rejects_malformed_flags(shape, stages, message):
+    m = build_module(shape, 2)
+    fl = FlagPoint([GradedSubspace.from_vectors(2, stage) for stage in stages])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cell_of_flag(m, fl)
 

@@ -21,6 +21,7 @@ from qfv import (
     multiset_words,
     torus_symbols,
 )
+from qfv import gkm
 from qfv.gkm import Edge, _parse_poly
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
 
@@ -346,6 +347,30 @@ def test_membership_reports_a_repeated_malformed_string():
     texts[2] = texts[5] = "x1 +* x2"
     with pytest.raises(ValueError, match=r"cannot parse polynomial 'x1 \+\* x2'"):
         membership_check(g, texts)
+
+
+def test_membership_collapses_each_polynomial_once_per_row_pair(
+    reference_shape, monkeypatch
+):
+    # rows-weighted tuple: row r weighted by r, 1,394 distinct strings
+    # over the 1,728 nodes; nodes sharing a string share its collapses
+    g = build_gkm_graph(reference_shape, REFERENCE_WORD)
+    texts = [
+        " + ".join(f"{r * sum(row)}*x{r}" for r, row in enumerate(node.filling, start=1))
+        for node in g.nodes
+    ]
+    assert (len(set(texts)), len(texts)) == (1394, 1728)
+    calls = []
+    collapse = gkm._collapse
+
+    def spy(poly, p, q):
+        calls.append((tuple(sorted(poly.items())), p, q))
+        return collapse(poly, p, q)
+
+    monkeypatch.setattr(gkm, "_collapse", spy)
+    ok, failures = membership_check(g, texts)
+    assert not ok and len(failures) == 12744
+    assert len(calls) == len(set(calls)) == 11836
 
 
 def test_export_dot_layout():

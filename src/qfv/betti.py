@@ -34,6 +34,14 @@ def _poly_string(items: Sequence[tuple[int, int]], var: str) -> str:
     return " + ".join(terms)
 
 
+def _check_int_term(k, c) -> None:
+    """A degree and a coefficient must be exactly ints: bools and floats
+    are refused, as `validate_word` refuses them as letters, instead of
+    being truncated."""
+    if type(k) is not int or type(c) is not int:
+        raise ValueError(f"degree {k!r} and coefficient {c!r} must be integers")
+
+
 class PoincarePoly:
     """Finitely supported coefficients in nonnegative powers of q."""
 
@@ -42,13 +50,14 @@ class PoincarePoly:
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         items = []
         for k, c in (coeffs or {}).items():
+            _check_int_term(k, c)
             if c == 0:
                 continue
             if k < 0:
                 raise ValueError(f"negative degree {k}")
             if c < 0:
                 raise ValueError(f"negative coefficient {c} at degree {k}")
-            items.append((int(k), int(c)))
+            items.append((k, c))
         self._items = tuple(sorted(items))
 
     def coeff(self, k: int) -> int:
@@ -111,7 +120,7 @@ class PoincarePoly:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "PoincarePoly":
-        return cls({int(k): int(c) for k, c in data.items()})
+        return cls({int(k): c for k, c in data.items()})
 
     def __repr__(self) -> str:
         return f"PoincarePoly({self.qstring()!r})"
@@ -342,16 +351,22 @@ def multiset_words(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 class KatoGdim:
-    """Graded dimension of a standard module, normalized by orbit dimension.
+    """Graded dimension of a standard module, summed over its words.
 
-    Coefficients live in integer powers of t; `orbit_dim` records the
-    normalization exponent that was divided out.
+    `coeffs[k]` counts the pairs (filtration word, cell) whose bundle
+    dimension minus cell dimension is k, in integer powers of t (see
+    `kato_gdim`); nothing is divided out.  `orbit_dim` is stored beside
+    them, the orbit dimension of the shape: for J2 + J1 at n = 1 the
+    coefficients are t^4 + t^5 + t^6 and `orbit_dim` is 4.  Degrees and
+    coefficients must be ints.
     """
 
     __slots__ = ("coeffs", "orbit_dim")
 
     def __init__(self, coeffs: Mapping[int, int], orbit_dim: int):
-        self.coeffs = {int(k): int(c) for k, c in coeffs.items() if c != 0}
+        for k, c in coeffs.items():
+            _check_int_term(k, c)
+        self.coeffs = {k: c for k, c in coeffs.items() if c != 0}
         self.orbit_dim = orbit_dim
 
     def total(self) -> int:

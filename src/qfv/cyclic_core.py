@@ -68,16 +68,19 @@ class Shape:
     vertex ascending, then by length descending.  Downstream cell
     dimensions are only meaningful in canonical order; the override
     exists because box removal must preserve row identity instead.
+    `n` and each row's socle and length must be integers (not booleans,
+    floats or strings), the rule `validate_word` applies to letters.
     """
 
     __slots__ = ("n", "rows", "_size")
 
     def __init__(self, n: int, rows: Iterable[Row], keep_order: bool = False):
-        if n < 1:
+        if _require_int(n, "cycle length") < 1:
             raise ValueError(f"cycle length must be at least 1, got {n}")
         normalized = []
         for row in rows:
-            if row.length < 1:
+            _require_int(row.socle, "socle")
+            if _require_int(row.length, "row length") < 1:
                 raise ValueError(f"row length must be positive, got {row.length}")
             normalized.append(Row(normalize_vertex(row.socle, n), row.length))
         if not keep_order:
@@ -119,15 +122,10 @@ class Shape:
 
     @classmethod
     def from_json(cls, data: dict, keep_order: bool = False) -> "Shape":
-        """Inverse of `to_json`.  `n`, `socle` and `len` must be integers
-        (not booleans, floats or strings), the rule `validate_word` applies
-        to letters."""
+        """Inverse of `to_json`; the constructor checks the fields."""
         try:
-            n = _json_int(data["n"], "cycle length")
-            rows = [
-                Row(_json_int(r["socle"], "socle"), _json_int(r["len"], "row length"))
-                for r in data["rows"]
-            ]
+            n = data["n"]
+            rows = [Row(r["socle"], r["len"]) for r in data["rows"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed shape object: {exc}") from exc
         return cls(n, rows, keep_order=keep_order)
@@ -147,7 +145,7 @@ class Shape:
         return f"Shape(n={self.n}, rows=[{inner}])"
 
 
-def _json_int(value, what: str) -> int:
+def _require_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value

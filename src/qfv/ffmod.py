@@ -88,7 +88,7 @@ class NilModule:
         radicals = _radical_powers(self)
         dim = self.total_dim
         while dim:
-            nxt = sum(map(len, next(radicals)))
+            nxt = sum(map(len, next(radicals).values()))
             if nxt == dim:
                 raise ValueError("cycle composite is not nilpotent")
             dim = nxt
@@ -447,9 +447,9 @@ def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
     coordinates that the quotient by stage k-1 drops, so j is the first
     nonzero coordinate of the new line in that quotient's box-tagged
     basis, and the line must map into stage k-1 under the arrow out of v.
-    A stage with other than n vertices, or with a vector whose length is
-    not its vertex's dimension, raises ValueError like any other
-    malformed flag.
+    A stage over another field than the module's, with other than n
+    vertices, or with a vector whose length is not its vertex's
+    dimension, raises ValueError like any other malformed flag.
     """
     if m.shape is None or m.tags is None:
         raise ValueError("classification needs a module built from a shape")
@@ -460,6 +460,8 @@ def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
     entry_at: dict[Box, int] = {}
     prev = [([], [])] * m.n  # echelon basis and pivots of stage k-1 per vertex
     for k, stage in enumerate(fl.chain, start=1):
+        if stage.p != p:
+            raise ValueError(f"stage {k} is over F_{stage.p}, not F_{p}")
         if len(stage.basis) != m.n:
             raise ValueError(f"stage {k} has {len(stage.basis)} vertices, not {m.n}")
         for v, b in enumerate(stage.basis):
@@ -524,49 +526,58 @@ def dim_end(shape: Shape) -> int:
     return nvars - rank_rational(rows)
 
 
-def _radical_powers(m: NilModule) -> Iterator[list[list[list[int]]]]:
-    """Per-vertex echelon bases of rad^1, rad^2, ... of m, without end.
+def _radical_powers(m: NilModule) -> Iterator[dict[int, list[list[int]]]]:
+    """{vertex: echelon basis} of rad^1, rad^2, ... of m, without end,
+    at the vertices where the power is nonzero.
 
     rad^l at vertex w is the image of the composite of the l arrows
     arriving there: the arrow into w applied to rad^(l-1) at w-1, with
-    rad^0 everything.
+    rad^0 everything.  So step l visits only the vertices where
+    rad^(l-1) is nonzero, and a module costs O(boxes * steps), not
+    O(n * steps).
     """
-    p = m.p
-    rad = [
-        [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        for d in m.dims
-    ]
+    p, n = m.p, m.n
+    rad = {
+        v: [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+        for v, d in enumerate(m.dims)
+        if d
+    }
     while True:
-        rad = [
-            rref_mod([matvec_mod(m.mats[w - 1], b, p) for b in rad[w - 1]], p)[0]
-            for w in range(m.n)
-        ]
+        nxt = {}
+        for v, b in rad.items():
+            image = rref_mod([matvec_mod(m.mats[v], x, p) for x in b], p)[0]
+            if image:
+                nxt[(v + 1) % n] = image
+        rad = nxt
         yield rad
 
 
 def iso_class(m: NilModule) -> Shape:
     """Recover the multiset of rows of a concrete module.
 
-    The multiplicity of a row of length l ending at a vertex is the drop
-    in dimension of (socle intersect l-th radical power) at that vertex,
-    all intersections computed by rank arithmetic.
+    The multiplicity of a row of length l ending at a vertex w is the
+    drop in dimension of (socle intersect l-th radical power) at w from
+    l-1 to l.  The arrow out of w maps rad^l at w onto rad^(l+1) at w+1
+    with kernel socle intersect rad^l, so that dimension is
+    r_l(w) - r_(l+1)(w+1), with r_l the dimensions of rad^l: the rows
+    come from radical dimensions alone.
     """
-    p = m.p
-    soc = socle(m).basis
+    n = m.n
 
-    def meet_dim(w: int, rad_b) -> int:
-        if not rad_b or not soc[w]:
-            return 0
-        join = len(rref_mod(list(soc[w]) + rad_b, p)[0])
-        return len(soc[w]) + len(rad_b) - join
+    def meets(r: dict, r_next: dict) -> dict:
+        return {w: d - r_next.get((w + 1) % n, 0) for w, d in r.items()}
 
-    meet = [len(b) for b in soc]  # the meet with rad^0, everything
+    dims = ({w: len(b) for w, b in rad.items()} for rad in _radical_powers(m))
+    r = {w: d for w, d in enumerate(m.dims) if d}  # rad^0, everything
+    r_next = next(dims)
+    meet = meets(r, r_next)
     rows = []
-    radicals = enumerate(_radical_powers(m), start=1)
-    while any(meet):  # meets only shrink as l grows
-        l, rad = next(radicals)
-        nxt = [meet_dim(w, rad[w]) for w in range(m.n)]
-        for w in range(m.n):
-            rows.extend([Row(w + 1, l)] * (meet[w] - nxt[w]))
+    l = 0
+    while r:  # a nonzero submodule meets the socle, so meets vanish with r
+        l += 1
+        r, r_next = r_next, next(dims)
+        nxt = meets(r, r_next)
+        for w, d in meet.items():
+            rows.extend([Row(w + 1, l)] * (d - nxt.get(w, 0)))
         meet = nxt
-    return Shape(m.n, rows)
+    return Shape(n, rows)

@@ -3,10 +3,10 @@
 Nodes are the tableaux of one (shape, filtration) instance.  Two nodes
 are joined when exchanging a pair of label-aligned contiguous box
 segments between two rows turns one filling into the other, which is
-the rule `admissible_swaps` searches for; `build_gkm_graph` finds the
-same edges from each node's geometric free directions, the tangent
-directions of its cell.  The edge remembers the two rows, whose torus
-coordinates give its linear form.
+the rule `admissible_swaps` states by definition; `build_gkm_graph`
+finds the same edges from each node's geometric free directions, the
+tangent directions of its cell.  The edge remembers the two rows, whose
+torus coordinates give its linear form.
 A tuple of polynomials, one per node, is a member of the structure ring
 when every edge difference is divisible by that form.
 """
@@ -17,7 +17,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .cyclic_core import Shape
@@ -45,26 +45,20 @@ class GkmGraph:
 def admissible_swaps(
     t: RowMultiTableau,
 ) -> list[tuple[RowMultiTableau, tuple[int, int], tuple[int, int]]]:
-    """All aligned segment exchanges out of `t`.
+    """All aligned segment exchanges out of `t`, by definition.
 
     A candidate picks two rows and equal-length contiguous windows whose
     column labels agree position by position; since labels step by one
     along a row, agreement at the first position is agreement
-    everywhere.  The exchanged filling must still be strictly increasing
-    in both touched rows.  No dimension-gap condition is imposed: on
-    shapes whose rows all have length one the resulting edge count
-    equals the cell-dimension sum exactly, which is what the graph
-    invariants require, while a unit-gap filter breaks it there.
-    Returned entry pair: the largest entry of each window, in row order;
-    the order is row pair, width w, start in row p, start in row q.
-
-    Both rows increase strictly, so an exchanged row increases strictly
-    exactly when each window's ends fit their new neighbours: windows at
-    i in row p and j in row q give rp[i-1] < rq[j] and rq[j-1] < rp[i]
-    on the left, which do not depend on w, and rq[j+w-1] < rp[i+w] and
-    rp[i+w-1] < rq[j+w] on the right.  So each row pair collects its
-    aligned starts that pass the left tests once and tries only those
-    for every w, which is O(1) per candidate.
+    everywhere.  The windows are exchanged, and the candidate is kept
+    when both touched rows still increase strictly.  No dimension-gap
+    condition is imposed: on shapes whose rows all have length one the
+    resulting edge count equals the cell-dimension sum exactly, which is
+    what the graph invariants require, while a unit-gap filter breaks it
+    there.  Returned entry pair: the largest entry of each window, in
+    row order; the order is row pair, width w, start in row p, start in
+    row q.  This is the slow statement of the rule that
+    `build_gkm_graph` is checked against.
     """
     shape = t.shape
     filling = t.filling
@@ -72,28 +66,18 @@ def admissible_swaps(
     out = []
     for p, q in combinations(range(len(filling)), 2):
         rp, rq = filling[p], filling[q]
-        lp, lq = len(rp), len(rq)
-        lab_p, lab_q = labels[p], labels[q]
-        starts = [
-            (i, j)
-            for i in range(lp)
-            for j in range(lq)
-            if lab_p[i] == lab_q[j]
-            and (not i or rp[i - 1] < rq[j])
-            and (not j or rq[j - 1] < rp[i])
-        ]
-        for w in range(1, min(lp, lq) + 1):
-            for i, j in starts:
-                ie, je = i + w, j + w
-                if ie > lp or je > lq:
-                    continue
-                top_p, top_q = rp[ie - 1], rq[je - 1]
-                if (ie == lp or top_q < rp[ie]) and (je == lq or top_p < rq[je]):
-                    swapped = list(filling)
-                    swapped[p] = rp[:i] + rq[j:je] + rp[ie:]
-                    swapped[q] = rq[:j] + rp[i:ie] + rq[je:]
-                    swap = RowMultiTableau(shape, swapped)
-                    out.append((swap, (p + 1, q + 1), (top_p, top_q)))
+        for w in range(1, min(len(rp), len(rq)) + 1):
+            for i in range(len(rp) - w + 1):
+                for j in range(len(rq) - w + 1):
+                    if labels[p][i] != labels[q][j]:
+                        continue
+                    new_p = rp[:i] + rq[j : j + w] + rp[i + w :]
+                    new_q = rq[:j] + rp[i : i + w] + rq[j + w :]
+                    if all(map(lt, new_p, new_p[1:])) and all(map(lt, new_q, new_q[1:])):
+                        swapped = list(filling)
+                        swapped[p], swapped[q] = new_p, new_q
+                        swap = RowMultiTableau(shape, swapped)
+                        out.append((swap, (p + 1, q + 1), (rp[i + w - 1], rq[j + w - 1])))
     return out
 
 
@@ -103,16 +87,21 @@ def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
     The edges at a node are its geometric free directions (k, s), the
     pairs that `cell_dim(statistic="geometric")` counts, each taken with
     every width w: the exchange of the w-box windows that end at k and
-    at s.  Such a direction already makes the right ends fit (s < k <
-    right neighbour of k, and k < right neighbour of s), so only the two
-    left-end tests of `admissible_swaps` remain for each w.  Every swap
-    of the graph arises this way at exactly one of its two ends, which
-    is not always the lower-index one; so each edge is filed under its
-    lower-index end, with the key (row pair, w, start in row p, start in
-    row q) that orders the exchanges of `admissible_swaps`, and the
-    sorted keys become the edges.  `Edge.entries` holds each window's
-    last entry at the lower-index end, row p first: that is (k, s), as
-    there the row-p window holds the larger one.
+    at s.  Both rows increase strictly, so an exchanged row increases
+    strictly exactly when each window's ends fit their new neighbours:
+    windows at i in row p and j in row q need rp[i-1] < rq[j] and
+    rq[j-1] < rp[i] on the left, and rq[j+w-1] < rp[i+w] and
+    rp[i+w-1] < rq[j+w] on the right.  A free direction already makes
+    the right ends fit (s < k < right neighbour of k, and k < right
+    neighbour of s), so only the two left-end tests remain for each w,
+    which is O(1) per candidate.  Every swap of the graph arises this
+    way at exactly one of its two ends, which is not always the
+    lower-index one; so each edge is filed under its lower-index end,
+    with the key (row pair, w, start in row p, start in row q) that
+    orders the exchanges of `admissible_swaps`, and the sorted keys
+    become the edges.  `Edge.entries` holds each window's last entry at
+    the lower-index end, row p first: that is (k, s), as there the row-p
+    window holds the larger one.
     """
     nodes = enumerate_tableaux(shape, f)
     index = {node.filling: idx for idx, node in enumerate(nodes)}

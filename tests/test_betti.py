@@ -74,6 +74,27 @@ def test_poincare_poly_zero_and_validation():
         PoincarePoly({0: -2})
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [{0.5: 1}, {1: 2.7}, {1: 2.0}, {True: 1}, {0: True}, {0.5: 0}, {"1": 1}],
+    ids=["float_degree", "float_coeff", "integral_float", "bool_degree",
+         "bool_coeff", "zero_term", "str_degree"],
+)
+def test_poincare_poly_and_kato_gdim_refuse_non_integer_terms(coeffs):
+    # degrees and coefficients are ints, never truncated: {0.5: 1} used to
+    # equal {0: 1}, and {1: 2.7} to hold the coefficient 2
+    with pytest.raises(ValueError, match="must be integers"):
+        PoincarePoly(coeffs)
+    with pytest.raises(ValueError, match="must be integers"):
+        KatoGdim(coeffs, 0)
+
+
+def test_poincare_poly_from_json_reads_keys_not_coefficients():
+    assert PoincarePoly.from_json({"0": 1, "2": 3}) == PoincarePoly({0: 1, 2: 3})
+    with pytest.raises(ValueError, match="must be integers"):
+        PoincarePoly.from_json({"1": 2.5})
+
+
 def test_ambient_poincare_is_product_of_factorials():
     assert ambient_poincare((2,)) == q_factorial(2)
     assert ambient_poincare((1, 1)) == q_factorial(1)

@@ -1,4 +1,6 @@
 """Vertex arithmetic, rows, shapes, dimension vectors, filtration words."""
+import re
+
 import pytest
 
 from conftest import (
@@ -117,6 +119,30 @@ def test_shape_from_json_keep_order():
         Row(1, 1),
         Row(1, 2),
     )
+
+
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (2, [Row(1.5, 2)], "socle must be an integer, got 1.5"),
+        (1, [Row(1, 2.5)], "row length must be an integer, got 2.5"),
+        (2.0, [Row(1, 1)], "cycle length must be an integer, got 2.0"),
+        (1, [Row(True, 1)], "socle must be an integer, got True"),
+        (1, [Row(1, True)], "row length must be an integer, got True"),
+        (True, [], "cycle length must be an integer, got True"),
+        (3, [Row(1, 1), Row("2", 1)], "socle must be an integer, got '2'"),
+    ],
+    ids=["float_socle", "float_length", "float_n", "bool_socle", "bool_length",
+         "bool_n", "str_socle"],
+)
+def test_shape_refuses_non_integer_fields(n, rows, message):
+    # the constructor applies from_json's rule, so a bad field fails here
+    # and not later in dim_vector
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Shape(n, rows)
+    data = {"n": n, "rows": [{"socle": r.socle, "len": r.length} for r in rows]}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Shape.from_json(data)
 
 
 def test_validate_word_accepts_vertex_sequences():

@@ -219,6 +219,68 @@ def test_iso_class_recovers_every_built_shape():
         assert iso_class(m) == shape
 
 
+def _inverse_mod(g, p):
+    """The inverse of the square matrix g over F_p, None when singular."""
+    d = len(g)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(g)]
+    for c in range(d):
+        r = next((r for r in range(c, d) if aug[r][c] % p), None)
+        if r is None:
+            return None
+        aug[c], aug[r] = aug[r], aug[c]
+        inv = pow(aug[c][c], p - 2, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for r in range(d):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[c])]
+    return [row[d:] for row in aug]
+
+
+def test_iso_class_is_invariant_under_a_change_of_basis():
+    # every other test reads iso_class on the box basis; here each vertex
+    # gets a random basis g_v, and the arrow A_v becomes g_(v+1) A_v g_v^-1
+    rng = random.Random(19)
+    cases = 0
+    for n in (1, 2, 3):
+        for shape in all_shapes(n, 5, 3):
+            for p in (2, 3):
+                m = build_module(shape, p)
+                gs, invs = [], []
+                for d in m.dims:
+                    inv = None
+                    while inv is None:
+                        g = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+                        inv = _inverse_mod(g, p)
+                    gs.append(g)
+                    invs.append(inv)
+                mats = [
+                    _mat_mul(_mat_mul(gs[(v + 1) % n], m.mats[v], p), invs[v], p)
+                    for v in range(n)
+                ]
+                assert iso_class(NilModule(n, p, m.dims, mats)) == shape
+                cases += 1
+    assert cases == 392
+
+
+def test_radical_powers_visit_only_nonzero_vertices(monkeypatch):
+    # a 3-box row on a 10^4-cycle: the nilpotency check and iso_class
+    # row-reduce at the few occupied vertices, not at every vertex
+    n = 10**4
+    m = build_module(Shape(n, [Row(1, 3)]), 3)
+    calls = []
+    rref_mod = ffmod.rref_mod
+
+    def spy(vectors, p):
+        calls.append(len(vectors))
+        return rref_mod(vectors, p)
+
+    monkeypatch.setattr(ffmod, "rref_mod", spy)
+    ref = NilModule(n, 3, m.dims, m.mats, tags=m.tags, shape=m.shape)
+    assert iso_class(ref) == m.shape
+    assert 0 < len(calls) < 100
+
+
 # --------------------------------------------------------- flag enumeration
 
 
@@ -542,6 +604,15 @@ TWO_SIMPLES = Shape(2, [Row(1, 1), Row(2, 1)])
             [[[(1, 1)], []], [[(1, 1)], [(1,)]]],
             "stage 1 has a vector of length 2 at vertex 1, of dimension 1",
         ),
+        # the line through (1, 2) over F_3 is not a line over F_2
+        (
+            Shape(1, [Row(1, 1), Row(1, 1)]),
+            [
+                GradedSubspace.from_vectors(3, [[(1, 2)]]),
+                GradedSubspace.from_vectors(3, [[(1, 0), (0, 1)]]),
+            ],
+            "stage 1 is over F_3, not F_2",
+        ),
     ],
     ids=[
         "stage_count",
@@ -551,11 +622,17 @@ TWO_SIMPLES = Shape(2, [Row(1, 1), Row(2, 1)])
         "unstable_later",
         "vertex_count",
         "vector_length",
+        "wrong_field",
     ],
 )
 def test_cell_of_flag_rejects_malformed_flags(shape, stages, message):
     m = build_module(shape, 2)
-    fl = FlagPoint([GradedSubspace.from_vectors(2, stage) for stage in stages])
+    fl = FlagPoint(
+        [
+            stage if isinstance(stage, GradedSubspace) else GradedSubspace.from_vectors(2, stage)
+            for stage in stages
+        ]
+    )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cell_of_flag(m, fl)
 

@@ -32,7 +32,6 @@ from .cyclic_core import (
     validate_word,
 )
 from .ffmod import (
-    FlagPoint,
     GradedSubspace,
     NilModule,
     SUPPORTED_PRIMES,
@@ -54,17 +53,11 @@ from .gkm import (
     export_dot,
     graph_to_json,
     membership_check,
-    torus_symbols,
 )
 from .tableaux import (
     RowMultiTableau,
-    SplitSummand,
-    cell_dim,
-    d_tau,
-    dim_filtration_of,
     enumerate_by_filtration,
     enumerate_tableaux,
-    tableau_to_split_module,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,10 @@ submodules line by line (each step picks a line inside the socle at the
 step's vertex and a pivot coordinate where it is nonzero, and passes to
 the quotient by dropping that coordinate), count them, and classify each
 flag into a cell by reading off the pivot boxes.  Neither walks flag
-by flag: `count_flags` memoizes its count on each exact quotient, and
-`classify_flags` memoizes its per-cell counts on each exact quotient.
+by flag: both go step by step over the distinct exact quotients that
+the steps so far reach, `count_flags` keeping a count of flags at each,
+`classify_flags` a count per cell.  Neither recurses, so long words are
+fine.
 `cell_of_flag` reads the cell of one given flag from the echelon forms
 of its stages in ambient coordinates, with no quotient modules.
 None of it consults the counting recursions, which is the point: the
@@ -18,7 +20,7 @@ from __future__ import annotations
 from itertools import compress, product
 from typing import Iterator, Sequence
 
-from .cyclic_core import Box, Row, Shape, normalize_vertex, validate_word
+from .cyclic_core import Box, Row, Shape, _require_int, validate_word
 from .linalg import (
     kernel_mod,
     matvec_mod,
@@ -45,21 +47,22 @@ class NilModule:
     (0-based storage), of size dims[(v+1) % n] x dims[v].  tags[v] names
     the originating box of each basis coordinate at vertex v+1; tags
     survive quotients, which is what makes cell classification possible
-    without re-deriving shapes.
+    without re-deriving shapes.  The cycle length, dimensions and matrix
+    entries must be ints: bools and floats are rejected, not converted.
     """
 
     __slots__ = ("n", "p", "dims", "mats", "tags", "shape")
 
     def __init__(self, n, p, dims, mats, tags=None, shape=None):
-        self.n = n
+        self.n = _require_int(n, "cycle length")
         self.p = _check_prime(p)
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(_require_int(d, "vertex dimension") for d in dims)
         if len(self.dims) != n:
             raise ValueError(f"expected {n} vertex dimensions, got {len(self.dims)}")
         cleaned = []
         for v in range(n):
             w = (v + 1) % n
-            mat = [[x % p for x in row] for row in mats[v]]
+            mat = [[_require_int(x, "matrix entry") % p for x in row] for row in mats[v]]
             if len(mat) != self.dims[w] or any(
                 len(row) != self.dims[v] for row in mat
             ):
@@ -281,35 +284,28 @@ def _drop_line(m: NilModule, v: int, vec: Sequence[int], j: int) -> NilModule:
 
 def count_flags(m: NilModule, f: Sequence[int]) -> int:
     """Number of complete flags of submodules along the word: lines in
-    the socle at the step's vertex, then recurse on the quotient that
-    drops the line's first nonzero coordinate.
+    the socle at the step's vertex, then the quotient that drops the
+    line's first nonzero coordinate.
 
-    The recursion is memoized on the exact quotient (`dims`, `mats`) and
-    the rest of the word, in a dict that lives for this call only.
-    `classify_flags` reaches the same flags through its own walk; its
-    counts sum to this one.
+    The count goes step by step over the distinct exact quotients
+    (`dims`, `mats`) that the steps so far reach, each kept with the
+    number of flag prefixes that reach it, so no quotient is expanded
+    twice at one step and nothing recurses.  `classify_flags` reaches
+    the same flags through its own walk; its counts sum to this one.
     """
     word = validate_word(f, m.n)
-    return _count_rec(m, word, {})
-
-
-def _count_rec(m: NilModule, word: tuple[int, ...], memo: dict) -> int:
-    if not word:
-        return 1 if m.total_dim == 0 else 0
-    key = (m.dims, m.mats, word)
-    count = memo.get(key)
-    if count is None:
-        v = word[0] - 1
-        basis, _ = kernel_mod(m.mats[v], m.dims[v], m.p)
-        count = memo[key] = sum(
-            _count_rec(
-                _drop_line(m, v, vec, next(j for j, x in enumerate(vec) if x)),
-                word[1:],
-                memo,
-            )
-            for vec in _line_reps(basis, m.p)
-        )
-    return count
+    # each distinct quotient reached so far: [the quotient, its flags]
+    level = [[m, 1]]
+    for letter in word:
+        v = letter - 1
+        nxt: dict = {}
+        for cur, count in level:
+            basis, _ = kernel_mod(cur.mats[v], cur.dims[v], cur.p)
+            for vec in _line_reps(basis, cur.p):
+                qm = _drop_line(cur, v, vec, next(j for j, x in enumerate(vec) if x))
+                nxt.setdefault((qm.dims, qm.mats), [qm, 0])[1] += count
+        level = nxt.values()
+    return sum(count for cur, count in level if cur.total_dim == 0)
 
 
 def _shortest_row_order(m: NilModule, v: int) -> list[int]:
@@ -352,15 +348,15 @@ def classify_flags(
       surviving coordinates, ties to the upper row.  Each class then holds
       p^d points, d the cell's dimension under the geometric statistic.
 
-    The flags below a step are counted per tuple of the pivot boxes the
-    remaining steps pick, in step order (step i, counting from 0, gets
-    entry r - i, so the boxes alone name the class), and memoized in a
-    dict that lives for this call only.  The key is the exact quotient
-    (`dims`, `mats`, `tags`) plus the rest of the word.  It is sound
-    because both pivot rules read nothing but `dims`, `mats` and `tags`.
-    So a memo hit stands for every flag below that quotient without
-    visiting them.  Only linear algebra mod p is used, never
-    `count_flags`, `iso_class` or the counting recursions.
+    The walk goes step by step over the distinct exact quotients
+    (`dims`, `mats`, `tags`) that the steps so far reach, each kept with
+    its flags so far counted per tuple of the pivot boxes they picked, in
+    step order (step i, counting from 0, gets entry r - i, so the boxes
+    alone name the class).  Both pivot rules read nothing but `dims`,
+    `mats` and `tags`, so the steps after a quotient do not depend on how
+    it was reached: each quotient is expanded once per step for all the
+    flags that reach it, and nothing recurses.  Only linear algebra mod p
+    is used, never `count_flags`, `iso_class` or the counting recursions.
 
     Keys are raw filling tuples aligned with the module's shape rows, on
     purpose: a class that fails the tableau invariants still gets
@@ -371,53 +367,37 @@ def classify_flags(
         raise ValueError("classification needs a module built from a shape")
     if pivot not in PIVOTS:
         raise ValueError(f"pivot must be one of {PIVOTS}, got {pivot!r}")
+    shortest = pivot == "shortest"
+    # each distinct quotient reached so far: [the quotient, {boxes: flags}]
+    level = [[m, {(): 1}]]
+    for letter in word:
+        v = letter - 1
+        nxt: dict = {}
+        for cur, prefixes in level:
+            basis, _ = kernel_mod(cur.mats[v], cur.dims[v], cur.p)
+            order = _shortest_row_order(cur, v) if shortest else range(cur.dims[v])
+            for vec in _line_reps(basis, cur.p):
+                j = next(j for j in order if vec[j])
+                box = cur.tags[v][j]
+                qm = _drop_line(cur, v, vec, j)
+                out = nxt.setdefault((qm.dims, qm.mats, qm.tags), [qm, {}])[1]
+                for boxes, count in prefixes.items():
+                    full = boxes + (box,)
+                    out[full] = out.get(full, 0) + count
+        level = nxt.values()
     r = len(word)
     return {
         _filling(m.shape, dict(zip(boxes, range(r, 0, -1)))): count
-        for boxes, count in _classify_rec(m, word, pivot == "shortest", {}).items()
+        for cur, prefixes in level
+        if cur.total_dim == 0
+        for boxes, count in prefixes.items()
     }
 
 
-def _classify_rec(
-    cur: NilModule, rest: tuple[int, ...], shortest: bool, memo: dict
-) -> dict[tuple[Box, ...], int]:
-    """Flags below one step, counted per tuple of the pivot boxes the
-    remaining steps pick, in step order."""
-    if not rest:
-        return {(): 1} if cur.total_dim == 0 else {}
-    key = (cur.dims, cur.mats, cur.tags, rest)
-    if key in memo:
-        return memo[key]
-    out: dict[tuple[Box, ...], int] = {}
-    v = rest[0] - 1
-    basis, _ = kernel_mod(cur.mats[v], cur.dims[v], cur.p)
-    order = _shortest_row_order(cur, v) if shortest else range(cur.dims[v])
-    for vec in _line_reps(basis, cur.p):
-        j = next(j for j in order if vec[j])
-        box = cur.tags[v][j]
-        qm = _drop_line(cur, v, vec, j)
-        for boxes, count in _classify_rec(qm, rest[1:], shortest, memo).items():
-            full = (box,) + boxes
-            out[full] = out.get(full, 0) + count
-    memo[key] = out
-    return out
-
-
-class FlagPoint:
-    """A chain of graded subspaces in ambient coordinates, smallest first."""
-
-    __slots__ = ("chain",)
-
-    def __init__(self, chain: Sequence[GradedSubspace]):
-        self.chain = tuple(chain)
-
-    def __len__(self) -> int:
-        return len(self.chain)
-
-
-def split_flag(m: NilModule, t: RowMultiTableau) -> FlagPoint:
-    """The flag spanned by box basis vectors in entry order: stage k is
-    spanned by the boxes holding the k largest entries."""
+def split_flag(m: NilModule, t: RowMultiTableau) -> tuple[GradedSubspace, ...]:
+    """The flag spanned by box basis vectors in entry order, as its
+    stages in ambient coordinates, smallest first: stage k is spanned by
+    the boxes holding the k largest entries."""
     if m.shape != t.shape:
         raise ValueError("tableau shape does not match the module")
     coord: dict[Box, tuple[int, int]] = {}
@@ -434,12 +414,13 @@ def split_flag(m: NilModule, t: RowMultiTableau) -> FlagPoint:
             unit[idx] = 1
             vectors[v].append(unit)
         chain.append(GradedSubspace.from_vectors(m.p, vectors))
-    return FlagPoint(chain)
+    return tuple(chain)
 
 
-def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
-    """Classify one flag: the box of each stage's new pivot receives the
-    stage's entry, r + 1 - k at stage k.
+def cell_of_flag(m: NilModule, fl: Sequence[GradedSubspace]) -> RowMultiTableau:
+    """Classify one flag, given as its stages smallest first: the box of
+    each stage's new pivot receives the stage's entry, r + 1 - k at
+    stage k.
 
     Everything stays in ambient coordinates.  Stage k is row-reduced
     together with the echelon basis of stage k-1 at every vertex, and
@@ -454,12 +435,12 @@ def cell_of_flag(m: NilModule, fl: FlagPoint) -> RowMultiTableau:
     if m.shape is None or m.tags is None:
         raise ValueError("classification needs a module built from a shape")
     r = m.total_dim
-    if len(fl.chain) != r:
-        raise ValueError(f"flag has {len(fl.chain)} stages for dimension {r}")
+    if len(fl) != r:
+        raise ValueError(f"flag has {len(fl)} stages for dimension {r}")
     p = m.p
     entry_at: dict[Box, int] = {}
     prev = [([], [])] * m.n  # echelon basis and pivots of stage k-1 per vertex
-    for k, stage in enumerate(fl.chain, start=1):
+    for k, stage in enumerate(fl, start=1):
         if stage.p != p:
             raise ValueError(f"stage {k} is over F_{stage.p}, not F_{p}")
         if len(stage.basis) != m.n:

@@ -146,16 +146,6 @@ def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
     return GkmGraph(len(shape.rows), nodes, keys)
 
 
-def torus_symbols(t: int):
-    """x1..xt as sympy symbols; sympy comes only with the `test` extra."""
-    try:
-        import sympy
-    except ImportError as exc:
-        msg = "torus_symbols needs sympy, from the test extra: qfv[test]"
-        raise ImportError(msg) from exc
-    return sympy.symbols(f"x1:{t + 1}")
-
-
 # A polynomial in x1..xt is a dict {exponent tuple: nonzero coefficient};
 # coefficients are int or Fraction, so all arithmetic is exact and two
 # polynomials are equal exactly when their dicts are.

@@ -87,10 +87,6 @@ def matvec_mod(mat: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> list
     return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]
 
 
-def rank_mod(mat: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref_mod(mat, p)[0])
-
-
 def rank_rational(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix, computed exactly over the rationals."""
     mat = [[Fraction(x) for x in row] for row in rows]

@@ -6,11 +6,12 @@ decreasing order r, r-1, ..., 1; the entry placed at step k sits in the
 rightmost then-unfilled box of its row, and the column label of that box
 is the k-th letter of the induced dimension filtration.  Each filling
 parametrizes one affine cell; its dimension is a sum of per-step counts
-of unblocked rows, under one of two statistics (see `d_tau`).
+of unblocked rows, under one of two statistics (see
+`RowMultiTableau.d_tau`).
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .cyclic_core import (
     Box,
@@ -20,18 +21,6 @@ from .cyclic_core import (
     validate_statistic,
     validate_word,
 )
-
-
-class SplitSummand(NamedTuple):
-    """Flag of submodules of one uniserial row, encoded by part sizes.
-
-    `lam` is a weakly decreasing tuple with one part per filtration step;
-    part s is the number of boxes of the row occupied by entries placed
-    up to step s.
-    """
-
-    socle: int
-    lam: tuple[int, ...]
 
 
 class RowMultiTableau:
@@ -203,24 +192,6 @@ class RowMultiTableau:
         the box holding entry r+1-k."""
         return tuple(self._label[:0:-1])
 
-    def split_module(self) -> tuple[SplitSummand, ...]:
-        """Per-row flags of the unique direct-sum-compatible flag point.
-
-        The number of boxes of a row occupied after step s is the count
-        of its entries exceeding r - s; collecting these occupancies over
-        all r steps and listing them weakly decreasing gives the part
-        tuple of that row's summand.
-        """
-        r = self.size
-        out = []
-        for row, entries in zip(self.shape.rows, self.filling):
-            occupancy = [
-                sum(1 for a in entries if a > r - s) for s in range(1, r + 1)
-            ]
-            # occupancy is weakly increasing in s, so reversing sorts it
-            out.append(SplitSummand(row.socle, tuple(reversed(occupancy))))
-        return tuple(out)
-
     def to_json(self) -> dict:
         data = self.shape.to_json()
         data["filling"] = [list(row) for row in self.filling]
@@ -357,18 +328,3 @@ def enumerate_by_filtration(
         out.setdefault(word, []).append(build(shape, filling, *tables))
     return out
 
-
-def d_tau(t: RowMultiTableau, k: int, statistic: str = "pinned") -> int:
-    return t.d_tau(k, statistic)
-
-
-def cell_dim(t: RowMultiTableau, statistic: str = "pinned") -> int:
-    return t.cell_dim(statistic)
-
-
-def dim_filtration_of(t: RowMultiTableau) -> tuple[int, ...]:
-    return t.dim_filtration()
-
-
-def tableau_to_split_module(t: RowMultiTableau) -> tuple[SplitSummand, ...]:
-    return t.split_module()

@@ -129,6 +129,18 @@ def test_oracle_match_exits_zero(shape_file, capsys):
     assert "p=3: count=4 poincare_at_p=4 match=yes" in out
 
 
+def test_oracle_on_one_row_of_a_thousand_boxes(shape_file, capsys):
+    # one flag, 1,000 steps deep: the flag walk keeps its own stack
+    path = shape_file({"n": 1000, "rows": [{"socle": 1000, "len": 1000}]})
+    word = ",".join(map(str, range(1000, 0, -1)))
+    rc = main(["oracle", "--shape", path, "--filtration", word])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "p=2: count=1 poincare_at_p=1 match=yes" in captured.out
+    assert "p=3: count=1 poincare_at_p=1 match=yes" in captured.out
+    assert captured.err == ""
+
+
 def test_oracle_mismatch_exits_four(shape_file, capsys):
     rc = main(
         ["oracle", "--shape", shape_file(S21), "--filtration", "1,1,1", "--primes", "2"]

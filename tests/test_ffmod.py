@@ -4,10 +4,11 @@ quotients, brute-force flag enumeration, and cell classification.
 The flag counts pinned here come from direct enumeration only; they are
 deliberately NOT taken from the counting recursions, so the two routes
 stay independent checks of one another.  Both `count_flags` and
-`classify_flags` (each memoized on exact quotients) are checked on the
-small grid against `walk_cells`, an unmemoized walk over every flag that
-steps through the public `quotient` by line subspaces built here, never
-through the private `_drop_line` that both memoized routes step with.
+`classify_flags` (each merging the flags that reach one exact quotient)
+are checked on the small grid against `walk_cells`, a walk over every
+flag one at a time that steps through the public `quotient` by line
+subspaces built here, never through the private `_drop_line` that both
+routes step with.
 """
 import random
 import re
@@ -24,7 +25,6 @@ from conftest import (
 )
 from qfv import (
     Box,
-    FlagPoint,
     GradedSubspace,
     NilModule,
     Row,
@@ -103,6 +103,22 @@ def test_build_module_matches_the_public_constructor(p):
 def test_nilmodule_rejects_non_nilpotent_loops():
     with pytest.raises(ValueError):
         NilModule(1, 2, (1,), (((1,),),))
+
+
+@pytest.mark.parametrize(
+    "n, dims, mats, message",
+    [
+        # once truncated to dims (1,), or a TypeError from deep in linalg
+        (1, (1.7,), (((0,),),), "vertex dimension must be an integer, got 1.7"),
+        (1, (True,), (((0,),),), "vertex dimension must be an integer, got True"),
+        (1, (1,), (((0.5,),),), "matrix entry must be an integer, got 0.5"),
+        (1.0, (1,), (((0,),),), "cycle length must be an integer, got 1.0"),
+    ],
+    ids=["float_dimension", "bool_dimension", "float_entry", "float_cycle_length"],
+)
+def test_nilmodule_rejects_non_integer_input(n, dims, mats, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NilModule(n, 2, dims, mats)
 
 
 def _mat_mul(a, b, p):
@@ -294,6 +310,11 @@ def test_count_flags_single_row_has_one_flag():
     for p in (2, 3):
         m = build_module(Shape(3, [Row(2, 3)]), p)
         assert count_flags(m, (2, 1, 3)) == 1
+    # 1,000 steps: neither flag walk recurses once per letter
+    m = build_module(Shape(1000, [Row(1000, 1000)]), 2)
+    word = tuple(range(1000, 0, -1))
+    assert count_flags(m, word) == 1
+    assert classify_flags(m, word, pivot="shortest") == {(tuple(range(1, 1001)),): 1}
 
 
 def test_count_flags_empty_module():
@@ -308,7 +329,7 @@ def test_count_flags_full_flag_unit_rows():
 
 
 def test_count_flags_never_calls_iso_class(monkeypatch):
-    # the memo is keyed on exact quotients alone, so no step pays for
+    # flags are merged on exact quotients alone, so no step pays for
     # rank arithmetic
     seen = []
     real = ffmod.iso_class
@@ -395,7 +416,7 @@ def test_quotients_pass_the_public_constructor():
 
 def walk_cells(m, word, pivot):
     """Point count per cell by visiting every flag, one line at a time:
-    the slow route that the memoized `classify_flags` must reproduce."""
+    the slow route that `classify_flags` must reproduce."""
     counts = {}
     entry_at = {}
 
@@ -428,7 +449,7 @@ def walk_cells(m, word, pivot):
 @pytest.mark.parametrize("pivot", ["first", "shortest"])
 @pytest.mark.parametrize("p", [2, 3])
 def test_memoized_classification_matches_flag_walk(p, pivot):
-    # two memoized routes, each keyed on exact quotients, against no memo
+    # two routes, each merging flags on exact quotients, against none
     for shape, word in small_grid():
         m = build_module(shape, p)
         walked = walk_cells(m, word, pivot)
@@ -514,8 +535,7 @@ def test_split_flag_reference_roundtrip(reference_shape):
     ts = enumerate_tableaux(reference_shape, REFERENCE_WORD)
     t = next(x for x in ts if x.cell_dim() == 9)
     fl = split_flag(m, t)
-    assert len(fl.chain) == 14
-    assert [s.dim for s in fl.chain] == list(range(1, 15))
+    assert [s.dim for s in fl] == list(range(1, 15))
     assert cell_of_flag(m, fl) == t
 
 
@@ -523,7 +543,7 @@ def test_split_flag_stages_grow_by_single_boxes():
     m = build_module(shape_21(), 3)
     t = RowMultiTableau(shape_21(), ((1, 3), (2,)))
     fl = split_flag(m, t)
-    assert [s.dim for s in fl.chain] == [1, 2, 3]
+    assert [s.dim for s in fl] == [1, 2, 3]
 
 
 def every_flag(m, word):
@@ -551,7 +571,7 @@ def every_flag(m, word):
             for v, vec in lines[:k]:
                 vectors[v].append(vec)
             chain.append(GradedSubspace.from_vectors(m.p, vectors))
-        yield FlagPoint(chain)
+        yield chain
 
 
 def test_cell_of_flag_on_every_flag_of_the_small_grid():
@@ -627,19 +647,17 @@ TWO_SIMPLES = Shape(2, [Row(1, 1), Row(2, 1)])
 )
 def test_cell_of_flag_rejects_malformed_flags(shape, stages, message):
     m = build_module(shape, 2)
-    fl = FlagPoint(
-        [
-            stage if isinstance(stage, GradedSubspace) else GradedSubspace.from_vectors(2, stage)
-            for stage in stages
-        ]
-    )
+    fl = [
+        stage if isinstance(stage, GradedSubspace) else GradedSubspace.from_vectors(2, stage)
+        for stage in stages
+    ]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cell_of_flag(m, fl)
 
 
 def test_cell_of_flag_needs_a_module_built_from_a_shape():
     m = NilModule(1, 2, (1,), (((0,),),))
-    fl = FlagPoint([GradedSubspace.from_vectors(2, [[(1,)]])])
+    fl = [GradedSubspace.from_vectors(2, [[(1,)]])]
     with pytest.raises(ValueError, match="built from a shape"):
         cell_of_flag(m, fl)
 

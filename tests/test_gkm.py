@@ -1,7 +1,6 @@
 """Fixed-point graph construction, segment-exchange edges, membership
 checking against edge linear forms, and DOT export."""
 import random
-import sys
 from itertools import combinations
 
 import pytest
@@ -19,7 +18,6 @@ from qfv import (
     graph_to_json,
     membership_check,
     multiset_words,
-    torus_symbols,
 )
 from qfv import gkm
 from qfv.gkm import Edge, _parse_poly
@@ -231,7 +229,7 @@ def test_membership_constant_tuple():
 
 def test_membership_linear_tuple_on_two_points():
     g = p1_graph()
-    x = torus_symbols(2)
+    x = sympy.symbols("x1:3")
     ok, failures = membership_check(g, (x[0], x[1]))
     assert ok and failures == []
     ok, failures = membership_check(g, (x[0], 0))
@@ -354,19 +352,6 @@ def test_graph_to_json():
         "nodes": [[[2], [1]], [[1], [2]]],
         "edges": [{"a": 0, "b": 1, "rows": [1, 2], "entries": [2, 1]}],
     }
-
-
-def test_torus_symbols_are_sympy_variables():
-    x = torus_symbols(3)
-    assert len(x) == 3
-    assert all(isinstance(s, sympy.Symbol) for s in x)
-    assert str(x[0]) == "x1"
-
-
-def test_torus_symbols_without_sympy_names_the_test_extra(monkeypatch):
-    monkeypatch.setitem(sys.modules, "sympy", None)
-    with pytest.raises(ImportError, match=r"qfv\[test\]"):
-        torus_symbols(2)
 
 
 def _reference_failures(g, texts):

@@ -4,7 +4,6 @@ from fractions import Fraction
 from qfv.linalg import (
     kernel_mod,
     matvec_mod,
-    rank_mod,
     rank_rational,
     reduce_vector_mod,
     rref_mod,
@@ -60,12 +59,6 @@ def test_kernel_vectors_annihilate_the_matrix():
 def test_matvec_mod():
     assert matvec_mod([(1, 2), (3, 4)], (1, 1), 5) == [3, 2]
     assert matvec_mod([], (1, 1), 5) == []
-
-
-def test_rank_mod():
-    assert rank_mod([(1, 1), (1, 1)], 2) == 1
-    assert rank_mod([(1, 0), (0, 1)], 7) == 2
-    assert rank_mod([], 2) == 0
 
 
 def test_rank_rational_is_exact():

@@ -1,5 +1,5 @@
-"""Tableau validation, the free-coordinate statistic, placement enumeration,
-and the split-module reading of a filling."""
+"""Tableau validation, the free-coordinate statistic and placement
+enumeration."""
 import itertools
 
 import pytest
@@ -20,13 +20,8 @@ from qfv import (
     Box,
     Row,
     Shape,
-    SplitSummand,
-    cell_dim,
-    d_tau,
-    dim_filtration_of,
     enumerate_by_filtration,
     enumerate_tableaux,
-    tableau_to_split_module,
 )
 from qfv.tableaux import RowMultiTableau
 
@@ -40,13 +35,6 @@ def test_reference_tableau_statistics(reference_tableau):
     assert tuple(t.d_tau(k) for k in range(1, 15)) == REFERENCE_D_TAU
     assert t.cell_dim() == REFERENCE_DIM
     assert t.dim_filtration() == REFERENCE_WORD
-
-
-def test_free_function_wrappers_agree(reference_tableau):
-    t = reference_tableau
-    assert d_tau(t, 5) == t.d_tau(5) == 2
-    assert cell_dim(t) == REFERENCE_DIM
-    assert dim_filtration_of(t) == REFERENCE_WORD
 
 
 def test_entry_lookup(reference_tableau):
@@ -91,8 +79,7 @@ def test_geometric_statistic_on_j2_plus_j1():
     # 1 ends a shorter row when 3 is placed; at 2 the rows tie, 1 is lower
     assert t.d_tau(3, "geometric") == 0
     assert t.d_tau(2, "geometric") == 1
-    assert d_tau(t, 3, "geometric") == 0
-    assert cell_dim(t, "geometric") == 1
+    assert t.cell_dim("geometric") == 1
 
 
 def test_reference_tableau_geometric_dimension(reference_tableau):
@@ -209,39 +196,6 @@ def test_enumerate_by_filtration_splits_words_on_the_cycle():
     grouped = enumerate_by_filtration(shape)
     assert set(grouped) == {(1, 2), (2, 1)}
     assert all(len(ts) == 1 for ts in grouped.values())
-
-
-def test_split_module_single_full_row():
-    t = RowMultiTableau(Shape(1, [Row(1, 3)]), ((1, 2, 3),))
-    assert tableau_to_split_module(t) == (SplitSummand(1, (3, 2, 1)),)
-
-
-def test_split_module_two_points():
-    t = RowMultiTableau(p1_shape(), ((2,), (1,)))
-    assert tableau_to_split_module(t) == (
-        SplitSummand(1, (1, 1)),
-        SplitSummand(1, (1, 0)),
-    )
-
-
-def test_split_module_unit_row_with_last_entry_is_all_ones():
-    shape = Shape(1, [Row(1, 1), Row(1, 2)], keep_order=True)
-    t = RowMultiTableau(shape, ((3,), (1, 2)))
-    assert tableau_to_split_module(t)[0] == SplitSummand(1, (1, 1, 1))
-
-
-def test_split_module_parts_are_weakly_decreasing(reference_tableau):
-    for summand in tableau_to_split_module(reference_tableau):
-        lam = summand.lam
-        assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-        assert len(lam) == 14
-
-
-def test_split_module_distinguishes_tableaux():
-    shape = Shape(1, [Row(1, 2), Row(1, 1)])
-    ts = enumerate_tableaux(shape, (1, 1, 1))
-    splits = {tableau_to_split_module(t) for t in ts}
-    assert len(splits) == len(ts) == 3
 
 
 def test_tableau_json_roundtrip(reference_tableau):

@@ -49,12 +49,15 @@ class NilModule:
     survive quotients, which is what makes cell classification possible
     without re-deriving shapes.  The cycle length, dimensions and matrix
     entries must be ints: bools and floats are rejected, not converted.
+    The cycle length must be at least 1, as for `Shape`.
     """
 
     __slots__ = ("n", "p", "dims", "mats", "tags", "shape")
 
     def __init__(self, n, p, dims, mats, tags=None, shape=None):
-        self.n = _require_int(n, "cycle length")
+        if _require_int(n, "cycle length") < 1:
+            raise ValueError(f"cycle length must be at least 1, got {n}")
+        self.n = n
         self.p = _check_prime(p)
         self.dims = tuple(_require_int(d, "vertex dimension") for d in dims)
         if len(self.dims) != n:

@@ -1,5 +1,6 @@
 """Graded counting: q-polynomials, the peel-a-box recursions, bundle and
 orbit dimensions, and the assembled graded module dimension."""
+import gc
 import json
 import tracemalloc
 from collections import Counter
@@ -29,7 +30,7 @@ from qfv import (
     q_int,
     remove_box,
 )
-from qfv import ffmod, linalg
+from qfv import betti, ffmod, linalg
 from qfv.betti import PoincarePoly
 from qfv.cli import main
 from qfv.tableaux import enumerate_by_filtration
@@ -224,6 +225,120 @@ def test_geometric_recursion_matches_enumeration_on_small_grid():
 def test_unknown_statistic_is_rejected_by_the_recursion():
     with pytest.raises(ValueError):
         f_graded(Shape(1, [Row(1, 1)]), (1,), statistic="lengthwise")
+
+
+# ------------------------------------------------------- the shared memo
+
+
+def _grid_instances(max_boxes):
+    """(shape, word) for every shape of the grid with at most `max_boxes`
+    boxes and every word with its letter counts, flags or not."""
+    return [
+        (shape, word)
+        for n in (1, 2, 3)
+        for shape in all_shapes(n, max_boxes, 4)
+        for word in multiset_words(shape.dim_vector())
+    ]
+
+
+def _clear_memo():
+    """Empty the memo of `f_count` and `f_graded` and its intern tables."""
+    for table in (betti._GRADED_MEMO, betti._GRADED_PARTS, betti._GRADED_VALUES):
+        table.clear()
+
+
+def _counts(shape, word):
+    return (
+        f_count(shape, word),
+        f_graded(shape, word),
+        f_graded(shape, word, "geometric"),
+    )
+
+
+def test_memo_gives_the_same_counts_in_any_order_and_from_scratch():
+    instances = _grid_instances(5)
+    _clear_memo()
+    forward = [_counts(shape, word) for shape, word in instances]
+    _clear_memo()
+    backward = [_counts(shape, word) for shape, word in reversed(instances)]
+    scratch = []
+    for shape, word in instances:
+        _clear_memo()
+        scratch.append(_counts(shape, word))
+    assert forward == backward[::-1] == scratch
+    assert len(instances) == 2925
+
+
+def test_f_graded_equals_the_checked_polynomial_on_the_grid():
+    # f_graded keeps the memo's value as its terms, past the constructor's
+    # checks; the checked constructor must build the same polynomial
+    _clear_memo()
+    instances = _grid_instances(6)
+    assert len(instances) == 12786
+    for shape, word in instances:
+        for statistic in ("pinned", "geometric"):
+            poly = f_graded(shape, word, statistic)
+            checked = PoincarePoly(dict(poly.items()))
+            assert poly == checked and hash(poly) == hash(checked)
+            assert poly.items() == checked.items()
+
+
+def test_memo_stores_each_rows_tuple_suffix_and_value_once():
+    _clear_memo()
+    for shape, word in _grid_instances(5):
+        _counts(shape, word)
+    memo = betti._GRADED_MEMO
+    first: dict = {}
+    for n, rows, rest, geometric in memo:
+        assert first.setdefault(rows, rows) is rows
+        assert first.setdefault(rest, rest) is rest
+        # rows stay Rows: a rows tuple that equals a value (a Row is a
+        # tuple) must not be swapped for it, nor a value for it
+        assert all(type(row) is Row for row in rows)
+    values: dict = {}
+    for value in memo.values():
+        assert values.setdefault(value, value) is value
+        assert all(type(term) is tuple for term in value)
+
+
+def test_memo_holds_under_250_bytes_per_state():
+    # each state shares its rows, word suffix and value with the states
+    # that have equal ones; with a copy of each in each state this sweep
+    # would retain about 440 bytes per state
+    instances = [
+        (shape, word)
+        for n in (1, 2, 3)
+        for shape in all_shapes(n, 6, 4)
+        for word in enumerate_by_filtration(shape)
+    ]
+    _clear_memo()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for shape, word in instances:
+            _counts(shape, word)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    states = len(betti._GRADED_MEMO)
+    assert states == 12196
+    assert retained / states < 250
+
+
+def test_kato_gdim_leaves_nothing_in_module_tables():
+    def table_sizes():
+        return {
+            name: len(value)
+            for name, value in vars(betti).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    before = table_sizes()
+    for rows in ([Row(1, 2), Row(1, 1)], [Row(2, 3), Row(1, 2), Row(2, 1)]):
+        kato_gdim(Shape(2, rows))
+    assert table_sizes() == before
 
 
 # ------------------------------------------------- bundle, orbit, assembly

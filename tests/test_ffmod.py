@@ -121,6 +121,14 @@ def test_nilmodule_rejects_non_integer_input(n, dims, mats, message):
         NilModule(n, 2, dims, mats)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_nilmodule_rejects_cycle_length_below_one(n):
+    # the same rule and message as Shape: a module needs a vertex, and a
+    # negative n must not be read as a count of vertex dimensions
+    with pytest.raises(ValueError, match=f"^cycle length must be at least 1, got {n}$"):
+        NilModule(n, 2, (), ())
+
+
 def _mat_mul(a, b, p):
     return [
         [sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a

@@ -105,12 +105,10 @@ def build_gkm_graph(shape: Shape, f: Sequence[int]) -> GkmGraph:
     """
     nodes = enumerate_tableaux(shape, f)
     index = {node.filling: idx for idx, node in enumerate(nodes)}
-    # every node induces the word, so entry k has the same column label
-    # in all of them: the pairs s < k of one label are listed once
-    label = nodes[0]._label if nodes else []
-    pairs = [
-        (k, s) for k in range(2, len(label)) for s in range(1, k) if label[s] == label[k]
-    ]
+    # every node induces the word, so the nodes share their label
+    # classes: the pairs s < k of one label are listed once
+    classes = nodes[0]._label_classes() if nodes else []
+    pairs = [(same[j], s) for same in classes for j in range(1, len(same)) for s in same[:j]]
     keys: list = []
     for owner, node in enumerate(nodes):
         filling = node.filling
@@ -318,18 +316,6 @@ def _parse_poly(p, t: int) -> dict:
     return values.pop()
 
 
-def _collapse(poly: dict, p: int, q: int) -> dict:
-    """`poly` with x_p replaced by x_q (0-based indices)."""
-    out: dict = {}
-    for mono, c in poly.items():
-        m = list(mono)
-        m[q] += m[p]
-        m[p] = 0
-        m = tuple(m)
-        out[m] = out.get(m, 0) + c
-    return {mono: c for mono, c in out.items() if c}
-
-
 def membership_check(g: GkmGraph, polys: Iterable) -> tuple[bool, list[Edge]]:
     """Divisibility of every edge difference by the edge's linear form.
 
@@ -343,9 +329,8 @@ def membership_check(g: GkmGraph, polys: Iterable) -> tuple[bool, list[Edge]]:
     and the arithmetic is exact over the rationals (a decimal such as
     0.1 is 1/10).  For an edge on rows (p, q) the requirement is that the
     difference vanish under substituting x_p by x_q.  `polys` may be
-    any iterable; a string that recurs is parsed once per call, and
-    collapsed once per pair of rows.  Returns the overall verdict plus
-    the failing edges, in edge order.
+    any iterable; a string that recurs is parsed once per call.  Returns
+    the overall verdict plus the failing edges, in edge order.
     """
     polys = list(polys)
     if len(polys) != len(g.nodes):
@@ -368,22 +353,22 @@ def membership_check(g: GkmGraph, polys: Iterable) -> tuple[bool, list[Edge]]:
         if text is not None:
             by_text[text] = poly
         parsed.append(poly)
-    # keyed by the parsed dict, which nodes with the same string share;
-    # `parsed` holds every one of them until the call returns
-    collapsed: dict = {}
-
-    def side(node: int, p: int, q: int) -> dict:
-        key = (id(parsed[node]), p, q)
-        if key not in collapsed:
-            collapsed[key] = _collapse(parsed[node], p, q)
-        return collapsed[key]
-
     failures = []
     for edge in g.edges:
-        if parsed[edge.a] == parsed[edge.b]:
+        a, b = parsed[edge.a], parsed[edge.b]
+        if a == b:
             continue
+        # the difference a - b with x_p replaced by x_q, which must vanish
         p, q = edge.rows[0] - 1, edge.rows[1] - 1
-        if side(edge.a, p, q) != side(edge.b, p, q):
+        collapsed: dict = {}
+        for poly, sign in ((a, 1), (b, -1)):
+            for mono, c in poly.items():
+                m = list(mono)
+                m[q] += m[p]
+                m[p] = 0
+                m = tuple(m)
+                collapsed[m] = collapsed.get(m, 0) + sign * c
+        if any(collapsed.values()):
             failures.append(edge)
     return (not failures), failures
 

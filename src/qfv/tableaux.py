@@ -8,6 +8,12 @@ is the k-th letter of the induced dimension filtration.  Each filling
 parametrizes one affine cell; its dimension is a sum of per-step counts
 of unblocked rows, under one of two statistics (see
 `RowMultiTableau.d_tau`).
+
+Enumeration builds each tableau from the per-entry tables of the
+placement search.  The column labels and their classes depend only on
+the induced word, so every tableau of one word shares a single label
+table and a single list of label classes; a filling is read off the
+row table only when asked for.
 """
 from __future__ import annotations
 
@@ -29,11 +35,15 @@ class RowMultiTableau:
     The constructor checks the filling and, in the same pass, fills flat
     per-entry tables indexed by entry (slot 0 unused): the box's row and
     position, its column label in 1..n, and its right neighbour in the
-    row (r + 1 at a row end).  The statistics read only these tables.
-    Entries must be ints: bools and floats are rejected, not converted.
+    row (r + 1 at a row end).  The statistics read only these tables,
+    and `cell_dim` the label classes, built from the label table on
+    first use.  Entries must be ints: bools and floats are rejected, not
+    converted.  Enumeration builds its tableaux unchecked instead, with
+    the label table and classes of their word, and leaves the filling
+    to be read off the row table when it is first asked for.
     """
 
-    __slots__ = ("shape", "filling", "_row", "_pos", "_label", "_right")
+    __slots__ = ("shape", "_filling", "_row", "_pos", "_label", "_right", "_classes")
 
     def __init__(self, shape: Shape, filling: Iterable[Iterable[int]]):
         filling = tuple(map(tuple, filling))
@@ -83,24 +93,48 @@ class RowMultiTableau:
         if stray:
             raise ValueError(f"entries must be exactly 1..{r}")
         self.shape = shape
-        self.filling = filling
+        self._filling = filling
         self._row = row_of
         self._pos = pos_of
         self._label = label_of
         self._right = right_of
+        self._classes = None
 
     @classmethod
-    def _from_tables(cls, shape, filling, row_of, pos_of, label_of, right_of):
-        """Trusted builder for fillings valid by construction, with their
-        per-entry tables already filled: no check is made."""
+    def _from_tables(cls, shape, row_of, pos_of, label_of, right_of, classes):
+        """Trusted builder for fillings valid by construction, from their
+        per-entry tables and the label classes of `label_of`: no check is
+        made, and the filling is read off `row_of` on first use."""
         t = object.__new__(cls)
         t.shape = shape
-        t.filling = filling
+        t._filling = None
         t._row = row_of
         t._pos = pos_of
         t._label = label_of
         t._right = right_of
+        t._classes = classes
         return t
+
+    @property
+    def filling(self) -> tuple[tuple[int, ...], ...]:
+        """The entries of each row, left to right.  Rows increase, so
+        taking the entries in ascending order fills each row in order."""
+        filling = self._filling
+        if filling is None:
+            rows: list[list[int]] = [[] for _ in self.shape.rows]
+            row_of = self._row
+            for e in range(1, len(row_of)):
+                rows[row_of[e] - 1].append(e)
+            filling = self._filling = tuple(map(tuple, rows))
+        return filling
+
+    def _label_classes(self) -> list[list[int]]:
+        """The entries of each column label held by two or more entries,
+        ascending; built from the label table on first use."""
+        classes = self._classes
+        if classes is None:
+            classes = self._classes = _group_by_label(self._label)
+        return classes
 
     @property
     def size(self) -> int:
@@ -125,7 +159,7 @@ class RowMultiTableau:
         position, then row index."""
         if statistic == "pinned":
             return self._row
-        m = len(self.filling) + 1
+        m = len(self.shape.rows) + 1
         return [pos * m + row for pos, row in zip(self._pos[:stop], self._row)]
 
     def d_tau(self, k: int, statistic: str = "pinned") -> int:
@@ -170,21 +204,21 @@ class RowMultiTableau:
         """Dimension of the cell: the sum of `d_tau` over all entries,
         under the pinned (default) or the geometric statistic.
 
-        One pass over k = 1..r keeps, per column label, the entries seen
-        so far; only those can count for k, under the rank test of
-        `d_tau`.  The cost is the sum of the squared label class sizes
-        rather than r^2."""
+        Only entries of one column label can count for each other, so the
+        pairs s < k are taken within each label class, under the rank
+        test of `d_tau`.  The cost is the sum of the squared label class
+        sizes rather than r^2."""
         rank = self._rank(validate_statistic(statistic))
-        label, right = self._label, self._right
-        seen: dict[int, list[int]] = {}
+        right = self._right
         total = 0
-        for k in range(1, len(label)):
-            same = seen.setdefault(label[k], [])
-            rank_k = rank[k]
-            for s in same:
-                if right[s] > k and rank[s] > rank_k:
-                    total += 1
-            same.append(k)
+        for same in self._label_classes():
+            below: list[int] = []
+            for k in same:
+                rank_k = rank[k]
+                for s in below:
+                    if right[s] > k and rank[s] > rank_k:
+                        total += 1
+                below.append(k)
         return total
 
     def dim_filtration(self) -> tuple[int, ...]:
@@ -226,8 +260,18 @@ class RowMultiTableau:
         return f"RowMultiTableau({self.filling})"
 
 
+def _group_by_label(label: Sequence[int]) -> list[list[int]]:
+    """The entries 1..r of each column label in the table `label`, in
+    ascending order, for the labels held by two or more entries; the
+    classes come in the order of their smallest entries."""
+    by_label: dict[int, list[int]] = {}
+    for e in range(1, len(label)):
+        by_label.setdefault(label[e], []).append(e)
+    return [same for same in by_label.values() if len(same) > 1]
+
+
 def _placement_dfs(shape: Shape, force_word=None):
-    """Yield (word, filling, tables) for every completable placement
+    """Yield (word, row, pos, right) for every completable placement
     sequence.
 
     Entries are placed r, r-1, ..., 1; at each step any row with an
@@ -237,30 +281,30 @@ def _placement_dfs(shape: Shape, force_word=None):
     the output order lexicographic in placement choices.  The search
     keeps its own stack, so long rows do not hit the recursion limit.
 
-    `tables` holds copies of the per-entry tables of `RowMultiTableau`
-    (row, position, column label, right neighbour), written as each
-    entry is placed: its right neighbour, being larger, is already in.
+    `row`, `pos` and `right` are copies of the per-entry tables of
+    `RowMultiTableau` (row, position, right neighbour), written as each
+    entry is placed.  The right neighbour of an entry is the last one
+    placed in its row, which `last` keeps per row (r + 1 for an empty
+    row); taking an entry back restores `last` from the entry's own
+    right neighbour.  The column labels are not kept: they depend only
+    on the word, and the caller builds them once per word.
     """
     rows = shape.rows
     nrows = len(rows)
     labels = [row.labels(shape.n) for row in rows]
-    lengths = [row.length for row in rows]
     r = shape.size
-    free = lengths[:]  # each row's rightmost unfilled box, 0 when full
-    filling = [[0] * length for length in lengths]
+    free = [row.length for row in rows]  # rightmost unfilled box, 0 when full
+    last = [r + 1] * nrows  # the entry last placed in each row
     row_of = [0] * (r + 1)
     pos_of = [0] * (r + 1)
-    label_of = [0] * (r + 1)
     right_of = [0] * (r + 1)
+    word = [0] * r  # the label placed at each step
     chosen: list[int] = []  # the row that received each placed entry
     k = 0  # entries placed; the next one is r - k
     i = 0  # next row to try for the entry of the current step
     while True:
         if k == r:
-            # the word reads the labels of entries r, r-1, ..., 1
-            yield tuple(label_of[:0:-1]), tuple(map(tuple, filling)), (
-                row_of[:], pos_of[:], label_of[:], right_of[:]
-            )
+            yield tuple(word), row_of[:], pos_of[:], right_of[:]
             i = nrows  # nothing left to place: backtrack
         want = force_word[k] if force_word is not None and k < r else None
         while i < nrows:
@@ -270,12 +314,11 @@ def _placement_dfs(shape: Shape, force_word=None):
             i += 1
         if i < nrows:
             e = r - k
-            entries = filling[i]
-            entries[pos - 1] = e
             row_of[e] = i + 1
             pos_of[e] = pos
-            label_of[e] = labels[i][pos - 1]
-            right_of[e] = entries[pos] if pos < lengths[i] else r + 1
+            right_of[e] = last[i]
+            last[i] = e
+            word[k] = labels[i][pos - 1]
             free[i] = pos - 1
             chosen.append(i)
             k += 1
@@ -287,9 +330,29 @@ def _placement_dfs(shape: Shape, force_word=None):
             i = chosen.pop()
             free[i] += 1
             k -= 1
+            last[i] = right_of[r - k]
             i += 1
         else:
             return
+
+
+def _grouped(
+    shape: Shape, force_word=None
+) -> dict[tuple[int, ...], list[RowMultiTableau]]:
+    """The tableaux of the placement search, grouped by word, each built
+    unchecked from the search's tables.  The label table of a word,
+    `[0, *reversed(word)]`, and its label classes are built once, when
+    the word first appears, and shared by all its tableaux."""
+    build = RowMultiTableau._from_tables
+    groups: dict = {}  # word -> (label table, label classes, tableaux)
+    for word, row_of, pos_of, right_of in _placement_dfs(shape, force_word):
+        group = groups.get(word)
+        if group is None:
+            label = [0, *reversed(word)]
+            group = groups[word] = (label, _group_by_label(label), [])
+        label, classes, ts = group
+        ts.append(build(shape, row_of, pos_of, label, right_of, classes))
+    return {word: ts for word, (_, _, ts) in groups.items()}
 
 
 def enumerate_tableaux(
@@ -305,11 +368,7 @@ def enumerate_tableaux(
     word = validate_word(word, shape.n)
     if not _compatible(shape, word):
         return []
-    build = RowMultiTableau._from_tables
-    return [
-        build(shape, filling, *tables)
-        for _, filling, tables in _placement_dfs(shape, force_word=word)
-    ]
+    return _grouped(shape, force_word=word).get(word, [])
 
 
 def enumerate_by_filtration(
@@ -322,9 +381,4 @@ def enumerate_by_filtration(
     whole shape.  As there, each tableau is built unchecked from the
     tables of the search.
     """
-    build = RowMultiTableau._from_tables
-    out: dict[tuple[int, ...], list[RowMultiTableau]] = {}
-    for word, filling, tables in _placement_dfs(shape):
-        out.setdefault(word, []).append(build(shape, filling, *tables))
-    return out
-
+    return _grouped(shape)

@@ -5,10 +5,11 @@ by point counts over F_p, `gkm` by the moment graph) must stay apart, or
 their agreement shows nothing.
 
 One shared piece is known: `gkm.build_gkm_graph` reads
-`RowMultiTableau._rank("geometric")`, the rank table that `cell_dim` uses
-too.  Criterion 6 stays an independent check because it counts tangent
-directions from their definition (`_tangent_weights` in the acceptance
-suite), not through `_rank`.
+`RowMultiTableau._rank("geometric")` and the label classes
+(`RowMultiTableau._label_classes`), the rank table and the pairs that
+`cell_dim` uses too.  Criterion 6 stays an independent check because it
+counts tangent directions from their definition (`_tangent_weights` in
+the acceptance suite), not through `_rank` or the classes.
 """
 import ast
 from pathlib import Path

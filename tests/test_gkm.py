@@ -1,6 +1,7 @@
 """Fixed-point graph construction, segment-exchange edges, membership
 checking against edge linear forms, and DOT export."""
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,6 @@ from qfv import (
     membership_check,
     multiset_words,
 )
-from qfv import gkm
 from qfv.gkm import Edge, _parse_poly
 from qfv.tableaux import RowMultiTableau, enumerate_tableaux
 
@@ -306,28 +306,32 @@ def test_membership_reports_a_repeated_malformed_string():
         membership_check(g, texts)
 
 
-def test_membership_collapses_each_polynomial_once_per_row_pair(
-    reference_shape, monkeypatch
-):
+def test_membership_fails_exactly_the_edges_that_move_a_row_sum(reference_shape):
     # rows-weighted tuple: row r weighted by r, 1,394 distinct strings
-    # over the 1,728 nodes; nodes sharing a string share its collapses
+    # over the 1,728 nodes.  A swap on rows (p, q) that moves D from row
+    # q to row p changes the tuple by D*(p*x_p - q*x_q), which collapses
+    # to D*(p - q)*x_q: the edge fails exactly when D is not 0
     g = build_gkm_graph(reference_shape, REFERENCE_WORD)
     texts = [
         " + ".join(f"{r * sum(row)}*x{r}" for r, row in enumerate(node.filling, start=1))
         for node in g.nodes
     ]
     assert (len(set(texts)), len(texts)) == (1394, 1728)
-    calls = []
-    collapse = gkm._collapse
-
-    def spy(poly, p, q):
-        calls.append((tuple(sorted(poly.items())), p, q))
-        return collapse(poly, p, q)
-
-    monkeypatch.setattr(gkm, "_collapse", spy)
-    ok, failures = membership_check(g, texts)
-    assert not ok and len(failures) == 12744
-    assert len(calls) == len(set(calls)) == 11836
+    moved = [
+        e
+        for e in g.edges
+        if sum(g.nodes[e.a].filling[e.rows[0] - 1]) != sum(g.nodes[e.b].filling[e.rows[0] - 1])
+    ]
+    assert len(moved) == 12744
+    # each edge's difference is collapsed on its own and dropped: nothing
+    # is kept per node and row pair (a memo of both sides peaked at 8.9 MB)
+    tracemalloc.start()
+    try:
+        assert membership_check(g, texts) == (False, moved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_export_dot_layout():

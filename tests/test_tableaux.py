@@ -1,6 +1,7 @@
 """Tableau validation, the free-coordinate statistic and placement
 enumeration."""
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -336,10 +337,21 @@ def _tables(t):
     return t._row, t._pos, t._label, t._right
 
 
+def _reference_classes(label):
+    """The entries of each column label of a label table, ascending, for
+    the labels of two or more entries, ordered by smallest entry."""
+    entries = range(1, len(label))
+    classes = ([e for e in entries if label[e] == a] for a in set(label[1:]))
+    return sorted(same for same in classes if len(same) > 1)
+
+
 def test_enumerated_tableaux_equal_checked_ones_on_the_grid():
     # enumeration builds its tableaux unchecked from the tables of the
     # search; each must equal the public constructor's, and the order of
-    # the fillings (the gkm node order) must be the placement order
+    # the fillings (the gkm node order) must be the placement order.  The
+    # label table and the label classes depend only on the word: the
+    # tableaux of one word share them, and read their filling off the
+    # row table only when it is asked for
     produced = 0
     for n in GRID_NS:
         for shape in all_shapes(n, GRID_MAX_BOXES, GRID_MAX_ROWS):
@@ -350,17 +362,44 @@ def test_enumerated_tableaux_equal_checked_ones_on_the_grid():
             assert list(grouped) == list(expected)
             for word, fillings in expected.items():
                 by_word = enumerate_tableaux(shape, word)
+                for ts in (grouped[word], by_word):
+                    first = ts[0]
+                    assert first._classes == _reference_classes(first._label)
+                    for t in ts:
+                        assert t._label is first._label and t._classes is first._classes
+                        assert t._filling is None
                 assert [t.filling for t in grouped[word]] == fillings
                 assert [t.filling for t in by_word] == fillings
                 for filling, *ts in zip(fillings, grouped[word], by_word):
                     checked = RowMultiTableau(shape, filling)
+                    assert checked._classes is None
                     for t in ts:
                         assert _tables(t) == _tables(checked)
                         assert t.filling == checked.filling
                         assert t.size == checked.size == shape.size
                         assert t.dim_filtration() == checked.dim_filtration() == word
+                    checked.cell_dim()
+                    assert checked._classes == ts[0]._classes
                 produced += len(fillings)
     assert produced == 97_990
+
+
+def test_one_long_row_enumerates_in_little_memory():
+    # the classes hold entries, not pairs: on one 1,500-box row the one
+    # class has 1,124,250 pairs s < k, which a pair list would keep as
+    # about 70 MB of tuples
+    r = 1500
+    shape = Shape(1, [Row(1, r)])
+    tracemalloc.start()
+    try:
+        (ts,) = enumerate_by_filtration(shape).values()
+        dims = [ts[0].cell_dim(statistic) for statistic in ("pinned", "geometric")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [0, 0]
+    assert ts[0].filling == (tuple(range(1, r + 1)),)
+    assert peak < 1_000_000
 
 
 _FAULTS = (
